@@ -1,14 +1,15 @@
 #include "core/global_extractor.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
 namespace tpgnn::core {
 
 using tensor::Add;
-using tensor::ConstRowSpan;
 using tensor::GatherRows;
 using tensor::Reshape;
 using tensor::RowSpanOf;
@@ -47,6 +48,12 @@ int64_t EdgeAggOutputDim(EdgeAgg agg, int64_t node_dim) {
 }
 
 namespace {
+
+// Edges per two-phase chunk of the inference sweep: bounds the staged
+// projection buffers at 64 x (edge_dim + 3 x hidden_dim) floats while giving
+// the input-projection GEMMs enough rows to stream each weight once per
+// chunk.
+constexpr int64_t kSweepChunk = 64;
 
 // Raw counterpart of AggregateEdge for the zero-copy inference path: writes
 // the edge embedding for endpoint rows `u` and `v` (each `k` wide) into
@@ -147,35 +154,83 @@ Tensor GlobalTemporalExtractor::Forward(
 Tensor GlobalTemporalExtractor::ForwardInference(
     const Tensor& node_embeddings,
     const std::vector<graph::TemporalEdge>& edge_order) const {
-  // Zero-copy path: the GRU state, the staged edge embedding, and the mean
-  // accumulator live in flat buffers; no tensors are created per edge. The
-  // accumulation order matches Concat + SumAxis(0) + Scale, so the readout
-  // is bit-identical to the recorded path.
-  std::vector<float> state(static_cast<size_t>(hidden_dim_), 0.0f);
+  // Zero-copy two-phase sweep over chunks of up to kSweepChunk edges. Phase
+  // one builds the chunk's edge embeddings and runs each gate's input
+  // projection x·W as one multi-row GEMM; phase two is the recurrent sweep,
+  // which only adds h·U and applies the gate maps. Every state element sees
+  // the same kernel expressions in the same order as GruCell::StepInto (a
+  // gate starts at zero, takes x·W, then h·U), and the mean accumulates like
+  // Concat + SumAxis(0) + Scale, so the readout is bit-identical to the
+  // recorded path in scalar mode and to the one-edge-at-a-time sweep in
+  // every mode.
+  const int64_t d = hidden_dim_;
+  std::vector<float> state(static_cast<size_t>(d), 0.0f);
   if (edge_order.empty()) {
-    return Tensor::FromVector({hidden_dim_}, std::move(state));
+    return Tensor::FromVector({d}, std::move(state));
   }
-  std::vector<float> edge_emb(static_cast<size_t>(edge_dim_));
-  std::vector<float> acc(static_cast<size_t>(hidden_dim_), 0.0f);
-  nn::GruScratch scratch;
-  for (const graph::TemporalEdge& e : edge_order) {
-    ConstRowSpan u = RowSpanOf(node_embeddings, e.src);
-    ConstRowSpan v = RowSpanOf(node_embeddings, e.dst);
-    AggregateEdgeInto(edge_agg_, u.data, v.data, node_dim_, edge_emb.data());
-    gru_.StepInto(edge_emb.data(), state.data(), state.data(), scratch);
-    if (readout_ == ExtractorReadout::kMeanState) {
-      for (int64_t j = 0; j < hidden_dim_; ++j) {
-        acc[static_cast<size_t>(j)] += state[static_cast<size_t>(j)];
-      }
+  const tensor::Kernels& ker = tensor::ActiveKernels();
+  const int64_t total = static_cast<int64_t>(edge_order.size());
+  const int64_t rows = std::min(total, kSweepChunk);
+  // One buffer: chunk edge embeddings [rows, edge_dim], the three input
+  // projections [rows, d] each, and the h·Un and candidate rows.
+  std::vector<float> work(static_cast<size_t>(rows * (edge_dim_ + 3 * d) +
+                                              2 * d));
+  float* edges = work.data();
+  float* xz = edges + rows * edge_dim_;
+  float* xr = xz + rows * d;
+  float* xn = xr + rows * d;
+  float* hu = xn + rows * d;
+  float* cand = hu + d;
+  std::vector<float> acc(static_cast<size_t>(d), 0.0f);
+  const bool mean = readout_ == ExtractorReadout::kMeanState;
+  const float* wz = gru_.wz().data().data();
+  const float* wr = gru_.wr().data().data();
+  const float* wn = gru_.wn().data().data();
+  const float* uz = gru_.uz().data().data();
+  const float* ur = gru_.ur().data().data();
+  const float* un = gru_.un().data().data();
+  const float* bz = gru_.bz().data().data();
+  const float* br = gru_.br().data().data();
+  const float* bn = gru_.bn().data().data();
+  float* h = state.data();
+
+  for (int64_t begin = 0; begin < total; begin += kSweepChunk) {
+    const int64_t count = std::min(kSweepChunk, total - begin);
+    for (int64_t i = 0; i < count; ++i) {
+      const graph::TemporalEdge& e =
+          edge_order[static_cast<size_t>(begin + i)];
+      AggregateEdgeInto(edge_agg_, RowSpanOf(node_embeddings, e.src).data,
+                        RowSpanOf(node_embeddings, e.dst).data, node_dim_,
+                        edges + i * edge_dim_);
+    }
+    ker.zero(xz, count * d);
+    ker.zero(xr, count * d);
+    ker.zero(xn, count * d);
+    ker.gemm_accumulate(edges, wz, xz, count, edge_dim_, d);
+    ker.gemm_accumulate(edges, wr, xr, count, edge_dim_, d);
+    ker.gemm_accumulate(edges, wn, xn, count, edge_dim_, d);
+
+    // Eqs. (7)-(10), one GRU step per edge in establishment order; each
+    // gate row is consumed in place.
+    for (int64_t i = 0; i < count; ++i) {
+      float* z = xz + i * d;
+      float* r = xr + i * d;
+      ker.gemm_accumulate(h, uz, z, 1, d, d);
+      ker.sigmoid_bias(z, bz, d);
+      ker.gemm_accumulate(h, ur, r, 1, d, d);
+      ker.sigmoid_bias(r, br, d);
+      ker.zero(hu, d);
+      ker.gemm_accumulate(h, un, hu, 1, d, d);
+      ker.gru_candidate(cand, r, hu, xn + i * d, bn, d);
+      ker.gru_blend(h, z, h, cand, d);
+      if (mean) ker.add_accumulate(acc.data(), h, d);
     }
   }
-  if (readout_ == ExtractorReadout::kLastState) {
-    return Tensor::FromVector({hidden_dim_}, std::move(state));
+  if (!mean) {
+    return Tensor::FromVector({d}, std::move(state));
   }
-  const float inv =
-      1.0f / static_cast<float>(static_cast<int64_t>(edge_order.size()));
-  for (float& a : acc) a *= inv;
-  return Tensor::FromVector({hidden_dim_}, std::move(acc));
+  ker.scale_inplace(acc.data(), 1.0f / static_cast<float>(total), d);
+  return Tensor::FromVector({d}, std::move(acc));
 }
 
 }  // namespace tpgnn::core

@@ -45,9 +45,11 @@ class GlobalTemporalExtractor : public nn::Module {
   EdgeAgg edge_agg() const { return edge_agg_; }
 
  private:
-  // Allocation-free GRU sweep used when gradients are disabled; runs the
-  // same kernels as the recorded path (GruCell::StepInto), so the returned
-  // embedding is bit-identical to Forward.
+  // GRU sweep used when gradients are disabled, two-phase over chunks of
+  // edges: the gates' input projections run as multi-row GEMMs, then the
+  // recurrent steps add h·U. Each element sees the same kernel expressions
+  // as GruCell::StepInto, so the embedding is bit-identical to Forward in
+  // scalar SIMD mode and kernel-ulp-close under a vector ISA.
   tensor::Tensor ForwardInference(
       const tensor::Tensor& node_embeddings,
       const std::vector<graph::TemporalEdge>& edge_order) const;

@@ -30,11 +30,13 @@ class GruCell : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x,
                          const tensor::Tensor& h) const;
 
-  // Raw single-row step for the zero-copy inference path: x [input_size],
-  // h [hidden_size], out [hidden_size]. Runs the same GEMM kernels and
-  // elementwise formulas as Forward, in the same order, so the result is
-  // bit-identical to the recorded path. `out` may alias `h` (in-place state
-  // update); no autograd, no heap allocation once `scratch` is warm.
+  // Raw single-row step: x [input_size], h [hidden_size], out
+  // [hidden_size]. Runs the same GEMM kernels and elementwise formulas as
+  // Forward, in the same order, so the result is bit-identical to the
+  // recorded path. `out` may alias `h` (in-place state update); no
+  // autograd, no heap allocation once `scratch` is warm. The global
+  // extractor's two-phase sweep is pinned bitwise against a per-edge loop
+  // of this step (tests/core/extractor_sweep_test.cc).
   void StepInto(const float* x, const float* h, float* out,
                 GruScratch& scratch) const;
 

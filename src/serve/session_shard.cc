@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/temporal_propagation.h"
+#include "tensor/kernels.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -58,6 +59,14 @@ struct SessionShard::Session {
   // rescale that replaced an absolute-basis refold.
   int64_t finalized_edges = 0;
   double finalized_max = 0.0;
+
+  // Last score's logit and the key it stays valid under: the same edges
+  // (the graph only grows), the same model state, the same kernel table.
+  // edge count -1 = nothing cached.
+  float cached_logit = 0.0f;
+  int64_t cached_edges = -1;
+  uint64_t cached_seq = 0;
+  tensor::SimdMode cached_mode = tensor::SimdMode::kScalar;
 
   double last_touch = 0.0;  // Stream time of the last ingest event.
   int pinned = 0;           // In-flight score requests.
@@ -384,7 +393,15 @@ Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
       force_refold = true;
     }
   }
-  {
+  // A session scored again with no new edge under the same state and
+  // kernels would fold nothing, rescale nothing and finalize the same
+  // values: reuse the logit. A forced refold always recomputes.
+  const int64_t edges = s.graph.num_edges();
+  const tensor::SimdMode mode = tensor::ActiveSimdMode();
+  if (!force_refold && s.cached_edges == edges &&
+      s.cached_seq == s.state_seq && s.cached_mode == mode) {
+    result->logit = s.cached_logit;
+  } else {
     tensor::NoGradGuard no_grad;
     const core::TpGnnModel& model = s.version->model();
     const std::vector<TemporalEdge>& order = EnsureFolded(s, force_refold);
@@ -401,14 +418,18 @@ Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
         s.finalized_max != max_time && metrics_ != nullptr) {
       metrics_->state_rescales.fetch_add(1, std::memory_order_relaxed);
     }
-    s.finalized_edges = s.graph.num_edges();
+    s.finalized_edges = edges;
     s.finalized_max = max_time;
     Tensor h = model.propagation().FinalizeState(s.x, s.m, max_time);
     Tensor g = model.EmbedFromNodeStates(h, order);
     result->logit = model.ClassifyEmbedding(g).item();
+    s.cached_logit = result->logit;
+    s.cached_edges = edges;
+    s.cached_seq = s.state_seq;
+    s.cached_mode = mode;
   }
   result->probability = 1.0f / (1.0f + std::exp(-result->logit));
-  result->edges_scored = s.graph.num_edges();
+  result->edges_scored = edges;
   result->score_micros = watch.ElapsedMicros();
   result->status = Status::Ok();
   return result->status;
@@ -446,41 +467,19 @@ Status SessionShard::ShadowScore(uint64_t session_id, float primary_logit) {
   Session& s = *it->second;
   float shadow_logit = 0.0f;
   {
-    // Full offline replay under the shadow version — nothing is shared with
-    // the session's folded state (which belongs to its pinned version), so
-    // the result is exactly the shadow model's ForwardLogit on this graph.
+    // Full offline forward under the shadow version — nothing is shared
+    // with the session's folded state (which belongs to its pinned
+    // version), so the result is exactly the shadow model's ForwardLogit on
+    // this graph.
     tensor::NoGradGuard no_grad;
     const core::TpGnnModel& model = shadow->model();
-    const core::TemporalPropagation& prop = model.propagation();
-    const core::TpGnnConfig& config = model.config();
     const std::vector<TemporalEdge>* order = &s.graph.edges();
     std::vector<TemporalEdge> chrono;
     if (!s.sorted) {
       chrono = s.graph.ChronologicalEdges();
       order = &chrono;
     }
-    Tensor x = prop.EmbedInitial(s.graph);
-    Tensor m;
-    if (prop.has_time_accumulator()) {
-      m = Tensor::Zeros({s.graph.num_nodes(), prop.time_state_dim()});
-    }
-    const double max_time = s.graph.MaxTime();
-    if (config.use_temporal_propagation()) {
-      const int64_t total = s.graph.num_edges();
-      for (int64_t i = 0; i < total; ++i) {
-        const double prev_time =
-            i > 0 ? (*order)[static_cast<size_t>(i - 1)].time : 0.0;
-        prop.PropagateEdgeState(x, (*order)[static_cast<size_t>(i)], max_time,
-                                prev_time, s.scratch);
-      }
-      if (prop.has_time_accumulator()) {
-        for (int64_t i = 0; i < total; ++i) {
-          prop.AccumulateEdgeTime(m, (*order)[static_cast<size_t>(i)],
-                                  max_time, s.scratch);
-        }
-      }
-    }
-    Tensor h = prop.FinalizeState(x, m, max_time);
+    Tensor h = model.propagation().Forward(s.graph, *order);
     Tensor g = model.EmbedFromNodeStates(h, *order);
     shadow_logit = model.ClassifyEmbedding(g).item();
   }

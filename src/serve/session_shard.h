@@ -108,6 +108,8 @@ class SessionShard {
   // result.logit is bit-identical to that version's ForwardLogit(session
   // graph, /*training=*/false) at this edge count. Fills
   // logit/probability/edges_scored; status kNotFound for unknown sessions.
+  // A repeat score with no new edge, under the same model state and SIMD
+  // mode, returns the last logit without recomputing it.
   Status Score(uint64_t session_id, ScoreResult* result);
 
   // Re-scores the session's current graph under the registry's shadow

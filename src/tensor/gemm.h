@@ -5,9 +5,9 @@
 
 // Row-major GEMM-accumulate kernels shared by the differentiable ops
 // (MatMul/Affine/Affine2, forward and backward) and by the zero-copy
-// inference paths (nn::GruCell::StepInto, core propagation). Keeping one set
-// of kernels guarantees the training and inference forward passes produce
-// bit-identical values.
+// inference paths (the global extractor's sweep, core propagation). Keeping
+// one set of kernels guarantees the training and inference forward passes
+// produce bit-identical values.
 
 namespace tpgnn::tensor::internal {
 

@@ -1,11 +1,15 @@
 // AVX2 kernel table (DESIGN.md §4.6). This translation unit is compiled with
-// -mavx2 and deliberately WITHOUT -mfma: the bitwise-class kernels promise
-// bit-identical results to the scalar table, which holds only if every
-// per-lane operation is the same IEEE mul/add sequence the scalar kernel
-// executes — an FMA contraction (one rounding instead of two) would break
-// that silently. The ulp-class transcendental maps use a vector exp
-// polynomial instead of libm and are covered by the "kernel-ulp" tolerance
-// mode (kTranscendentalUlpBound, tests/tensor/kernels_test.cc).
+// -mavx2 and deliberately WITHOUT -mfma. The bitwise-class kernels promise
+// bit-identical results to the scalar table through one invariant: each
+// output element goes through the same IEEE mul/add expressions, in the same
+// association and order, as in the scalar kernel. Loop order, blocking and
+// where partial results live are free — the GEMM keeps C rows in registers
+// across the k loop, which the scalar kernel does not — but an FMA
+// contraction (one rounding instead of two) would break the invariant
+// silently. The ulp-class transcendental maps use a vector exp polynomial
+// instead of libm, tails included (masked vectors), and are covered by the
+// "kernel-ulp" tolerance mode (kTranscendentalUlpBound,
+// tests/tensor/kernels_test.cc).
 
 #include "tensor/kernels.h"
 
@@ -101,61 +105,201 @@ inline __m256 Sigmoid8(__m256 x) {
 }
 
 // --- GEMM (bitwise class) ---------------------------------------------------
-// Same loop structure, tile width, zero-tile skip, and per-element
-// association as the scalar kernels; only the j loop is widened to 8 lanes.
+// Per-element association invariant: every C element receives, for each
+// 4-wide k tile in k order, c + ((((a0*b0) + a1*b1) + a2*b2) + a3*b3), then
+// c + a*b for each leftover k, and a row skips exactly the all-zero tiles
+// (and zero leftovers) the scalar kernel skips. That is the scalar kernel's
+// expression sequence per element, so the result is bit-identical whatever
+// the loop nest. The nest here differs on purpose: C stays in registers
+// across the whole k loop — rows in pairs, 32-column blocks (eight
+// accumulators for a pair), then 8-column blocks, then scalar columns — so
+// no C element round-trips through memory between tiles. The accumulators
+// are named registers, not arrays: GCC -O2 leaves array loops rolled and
+// spills them.
 
-void GemmAccumulateAvx2(const float* a, const float* b, float* c, int64_t n,
-                        int64_t k, int64_t m) {
-  constexpr int64_t kTile = 4;
-  for (int64_t i = 0; i < n; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * m;
-    int64_t kk = 0;
-    for (; kk + kTile <= k; kk += kTile) {
-      const float a0 = arow[kk];
-      const float a1 = arow[kk + 1];
-      const float a2 = arow[kk + 2];
-      const float a3 = arow[kk + 3];
-      if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
-      const float* b0 = b + kk * m;
-      const float* b1 = b0 + m;
-      const float* b2 = b1 + m;
-      const float* b3 = b2 + m;
-      const __m256 va0 = _mm256_set1_ps(a0);
-      const __m256 va1 = _mm256_set1_ps(a1);
-      const __m256 va2 = _mm256_set1_ps(a2);
-      const __m256 va3 = _mm256_set1_ps(a3);
-      int64_t j = 0;
-      for (; j + 8 <= m; j += 8) {
-        // crow[j] + ((((a0*b0) + a1*b1) + a2*b2) + a3*b3), per lane — the
-        // scalar expression's exact association.
-        __m256 sum = _mm256_mul_ps(va0, _mm256_loadu_ps(b0 + j));
-        sum = _mm256_add_ps(sum, _mm256_mul_ps(va1, _mm256_loadu_ps(b1 + j)));
-        sum = _mm256_add_ps(sum, _mm256_mul_ps(va2, _mm256_loadu_ps(b2 + j)));
-        sum = _mm256_add_ps(sum, _mm256_mul_ps(va3, _mm256_loadu_ps(b3 + j)));
-        _mm256_storeu_ps(crow + j,
-                         _mm256_add_ps(_mm256_loadu_ps(crow + j), sum));
-      }
-      for (; j < m; ++j) {
-        crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-      }
+constexpr int64_t kGemmTile = 4;
+
+inline bool ZeroTile(const float* a) {
+  return a[0] == 0.0f && a[1] == 0.0f && a[2] == 0.0f && a[3] == 0.0f;
+}
+
+// c + ((((a0*b0) + a1*b1) + a2*b2) + a3*b3) per lane; the B rows are `m`
+// apart.
+__attribute__((always_inline)) inline __m256 AddTile8(
+    __m256 c, __m256 a0, __m256 a1, __m256 a2, __m256 a3, const float* b,
+    int64_t m) {
+  __m256 sum = _mm256_mul_ps(a0, _mm256_loadu_ps(b));
+  sum = _mm256_add_ps(sum, _mm256_mul_ps(a1, _mm256_loadu_ps(b + m)));
+  sum = _mm256_add_ps(sum, _mm256_mul_ps(a2, _mm256_loadu_ps(b + 2 * m)));
+  sum = _mm256_add_ps(sum, _mm256_mul_ps(a3, _mm256_loadu_ps(b + 3 * m)));
+  return _mm256_add_ps(c, sum);
+}
+
+// c + a*b per lane (one leftover k).
+__attribute__((always_inline)) inline __m256 AddOne8(__m256 c, __m256 a,
+                                                     const float* b) {
+  return _mm256_add_ps(c, _mm256_mul_ps(a, _mm256_loadu_ps(b)));
+}
+
+// Columns [0, 32) of one row (kPair: two rows) of C, B and C pointers
+// already offset to the block.
+template <bool kPair>
+void GemmBlock32(const float* ar0, const float* ar1, const float* b,
+                 float* c0, float* c1, int64_t k, int64_t m) {
+  __m256 x0 = _mm256_loadu_ps(c0);
+  __m256 x1 = _mm256_loadu_ps(c0 + 8);
+  __m256 x2 = _mm256_loadu_ps(c0 + 16);
+  __m256 x3 = _mm256_loadu_ps(c0 + 24);
+  __m256 y0 = _mm256_setzero_ps();
+  __m256 y1 = y0;
+  __m256 y2 = y0;
+  __m256 y3 = y0;
+  if constexpr (kPair) {
+    y0 = _mm256_loadu_ps(c1);
+    y1 = _mm256_loadu_ps(c1 + 8);
+    y2 = _mm256_loadu_ps(c1 + 16);
+    y3 = _mm256_loadu_ps(c1 + 24);
+  }
+  int64_t kk = 0;
+  for (; kk + kGemmTile <= k; kk += kGemmTile) {
+    const float* bt = b + kk * m;
+    if (!ZeroTile(ar0 + kk)) {
+      const __m256 a0 = _mm256_set1_ps(ar0[kk]);
+      const __m256 a1 = _mm256_set1_ps(ar0[kk + 1]);
+      const __m256 a2 = _mm256_set1_ps(ar0[kk + 2]);
+      const __m256 a3 = _mm256_set1_ps(ar0[kk + 3]);
+      x0 = AddTile8(x0, a0, a1, a2, a3, bt, m);
+      x1 = AddTile8(x1, a0, a1, a2, a3, bt + 8, m);
+      x2 = AddTile8(x2, a0, a1, a2, a3, bt + 16, m);
+      x3 = AddTile8(x3, a0, a1, a2, a3, bt + 24, m);
     }
-    for (; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * m;
-      const __m256 vav = _mm256_set1_ps(av);
-      int64_t j = 0;
-      for (; j + 8 <= m; j += 8) {
-        const __m256 prod = _mm256_mul_ps(vav, _mm256_loadu_ps(brow + j));
-        _mm256_storeu_ps(crow + j,
-                         _mm256_add_ps(_mm256_loadu_ps(crow + j), prod));
-      }
-      for (; j < m; ++j) {
-        crow[j] += av * brow[j];
+    if constexpr (kPair) {
+      if (!ZeroTile(ar1 + kk)) {
+        const __m256 a0 = _mm256_set1_ps(ar1[kk]);
+        const __m256 a1 = _mm256_set1_ps(ar1[kk + 1]);
+        const __m256 a2 = _mm256_set1_ps(ar1[kk + 2]);
+        const __m256 a3 = _mm256_set1_ps(ar1[kk + 3]);
+        y0 = AddTile8(y0, a0, a1, a2, a3, bt, m);
+        y1 = AddTile8(y1, a0, a1, a2, a3, bt + 8, m);
+        y2 = AddTile8(y2, a0, a1, a2, a3, bt + 16, m);
+        y3 = AddTile8(y3, a0, a1, a2, a3, bt + 24, m);
       }
     }
   }
+  for (; kk < k; ++kk) {
+    const float* bk = b + kk * m;
+    if (ar0[kk] != 0.0f) {
+      const __m256 av = _mm256_set1_ps(ar0[kk]);
+      x0 = AddOne8(x0, av, bk);
+      x1 = AddOne8(x1, av, bk + 8);
+      x2 = AddOne8(x2, av, bk + 16);
+      x3 = AddOne8(x3, av, bk + 24);
+    }
+    if constexpr (kPair) {
+      if (ar1[kk] != 0.0f) {
+        const __m256 av = _mm256_set1_ps(ar1[kk]);
+        y0 = AddOne8(y0, av, bk);
+        y1 = AddOne8(y1, av, bk + 8);
+        y2 = AddOne8(y2, av, bk + 16);
+        y3 = AddOne8(y3, av, bk + 24);
+      }
+    }
+  }
+  _mm256_storeu_ps(c0, x0);
+  _mm256_storeu_ps(c0 + 8, x1);
+  _mm256_storeu_ps(c0 + 16, x2);
+  _mm256_storeu_ps(c0 + 24, x3);
+  if constexpr (kPair) {
+    _mm256_storeu_ps(c1, y0);
+    _mm256_storeu_ps(c1 + 8, y1);
+    _mm256_storeu_ps(c1 + 16, y2);
+    _mm256_storeu_ps(c1 + 24, y3);
+  }
+}
+
+// Columns [0, 8) of one row (kPair: two rows); GemmBlock32 at one vector.
+template <bool kPair>
+void GemmBlock8(const float* ar0, const float* ar1, const float* b, float* c0,
+                float* c1, int64_t k, int64_t m) {
+  __m256 x = _mm256_loadu_ps(c0);
+  __m256 y = kPair ? _mm256_loadu_ps(c1) : _mm256_setzero_ps();
+  int64_t kk = 0;
+  for (; kk + kGemmTile <= k; kk += kGemmTile) {
+    const float* bt = b + kk * m;
+    if (!ZeroTile(ar0 + kk)) {
+      x = AddTile8(x, _mm256_set1_ps(ar0[kk]), _mm256_set1_ps(ar0[kk + 1]),
+                   _mm256_set1_ps(ar0[kk + 2]), _mm256_set1_ps(ar0[kk + 3]),
+                   bt, m);
+    }
+    if constexpr (kPair) {
+      if (!ZeroTile(ar1 + kk)) {
+        y = AddTile8(y, _mm256_set1_ps(ar1[kk]), _mm256_set1_ps(ar1[kk + 1]),
+                     _mm256_set1_ps(ar1[kk + 2]), _mm256_set1_ps(ar1[kk + 3]),
+                     bt, m);
+      }
+    }
+  }
+  for (; kk < k; ++kk) {
+    const float* bk = b + kk * m;
+    if (ar0[kk] != 0.0f) x = AddOne8(x, _mm256_set1_ps(ar0[kk]), bk);
+    if constexpr (kPair) {
+      if (ar1[kk] != 0.0f) y = AddOne8(y, _mm256_set1_ps(ar1[kk]), bk);
+    }
+  }
+  _mm256_storeu_ps(c0, x);
+  if constexpr (kPair) _mm256_storeu_ps(c1, y);
+}
+
+// Columns [j0, m) of one row, one column at a time in a scalar register.
+void GemmColumnsScalar(const float* arow, const float* b, float* crow,
+                       int64_t k, int64_t m, int64_t j0) {
+  for (int64_t j = j0; j < m; ++j) {
+    float acc = crow[j];
+    int64_t kk = 0;
+    for (; kk + kGemmTile <= k; kk += kGemmTile) {
+      if (ZeroTile(arow + kk)) continue;
+      const float* bt = b + kk * m + j;
+      acc += arow[kk] * bt[0] + arow[kk + 1] * bt[m] +
+             arow[kk + 2] * bt[2 * m] + arow[kk + 3] * bt[3 * m];
+    }
+    for (; kk < k; ++kk) {
+      if (arow[kk] != 0.0f) acc += arow[kk] * b[kk * m + j];
+    }
+    crow[j] = acc;
+  }
+}
+
+// Every column of one row (kPair: two rows).
+template <bool kPair>
+void GemmRows(const float* ar0, const float* ar1, const float* b, float* c0,
+              float* c1, int64_t k, int64_t m) {
+  int64_t j = 0;
+  for (; j + 32 <= m; j += 32) {
+    GemmBlock32<kPair>(ar0, ar1, b + j, c0 + j, c1 + j, k, m);
+  }
+  for (; j + 8 <= m; j += 8) {
+    GemmBlock8<kPair>(ar0, ar1, b + j, c0 + j, c1 + j, k, m);
+  }
+  GemmColumnsScalar(ar0, b, c0, k, m, j);
+  if constexpr (kPair) GemmColumnsScalar(ar1, b, c1, k, m, j);
+}
+
+void GemmAccumulateAvx2(const float* a, const float* b, float* c, int64_t n,
+                        int64_t k, int64_t m) {
+  int64_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    GemmRows<true>(a + i * k, a + (i + 1) * k, b, c + i * m, c + (i + 1) * m,
+                   k, m);
+  }
+  if (i < n) {
+    // A single row never reads its second-row pointers; passing the row
+    // itself keeps the column offsets applied to them defined.
+    GemmRows<false>(a + i * k, a + i * k, b, c + i * m, c + i * m, k, m);
+  }
+  // GCC 12 emits no vzeroupper on this function's exits, and legacy-SSE
+  // code run afterwards with dirty upper YMM halves (libm's tanhf/expf in
+  // the recorded ops) slows down several-fold.
+  _mm256_zeroupper();
 }
 
 // The NT variant's inner loops are dot-product reductions whose summation
@@ -284,58 +428,64 @@ void RotatePairsAvx2(float* out, const float* a, const float* b,
 }
 
 // --- Transcendental maps (ulp class) ----------------------------------------
-// Tails of fewer than 8 elements run the scalar (libm) expression: tail
-// elements are then exactly the scalar kernel's values, and full lanes are
-// within the kernel-ulp bound.
+// Each map runs its vector body over the whole array: a tail of fewer than
+// 8 elements is one masked vector (maskload zero-fills the inactive lanes,
+// maskstore writes only the active ones), not per-lane libm. Every element
+// is then within the kernel-ulp bound of the scalar kernel, full lane or
+// tail alike.
 
-void TanhInplaceAvx2(float* v, int64_t n) {
+// Selects the first `rem` lanes, 0 < rem < 8.
+inline __m256i TailMask(int64_t rem) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Runs `body(offset, load, store)` over [0, n) in 8-lane steps, the last
+// step masked. `load(p)` reads the step's lanes of `p`; `store(p, v)`
+// writes them.
+template <typename Body>
+__attribute__((always_inline)) inline void ForEachVector(int64_t n,
+                                                         Body body) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(v + i, Tanh8(_mm256_loadu_ps(v + i)));
+    body(
+        i, [](const float* p) { return _mm256_loadu_ps(p); },
+        [](float* p, __m256 v) { _mm256_storeu_ps(p, v); });
   }
-  for (; i < n; ++i) {
-    v[i] = std::tanh(v[i]);
+  if (i < n) {
+    const __m256i mask = TailMask(n - i);
+    body(
+        i, [mask](const float* p) { return _mm256_maskload_ps(p, mask); },
+        [mask](float* p, __m256 v) { _mm256_maskstore_ps(p, mask, v); });
   }
+}
+
+void TanhInplaceAvx2(float* v, int64_t n) {
+  ForEachVector(n, [&](int64_t i, auto load, auto store) {
+    store(v + i, Tanh8(load(v + i)));
+  });
 }
 
 void TanhAddAvx2(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 sum = _mm256_add_ps(_mm256_loadu_ps(src + i),
-                                     _mm256_loadu_ps(dst + i));
-    _mm256_storeu_ps(dst + i, Tanh8(sum));
-  }
-  for (; i < n; ++i) {
-    dst[i] = std::tanh(src[i] + dst[i]);
-  }
+  ForEachVector(n, [&](int64_t i, auto load, auto store) {
+    store(dst + i, Tanh8(_mm256_add_ps(load(src + i), load(dst + i))));
+  });
 }
 
 void SigmoidBiasAvx2(float* v, const float* bias, int64_t n) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 sum = _mm256_add_ps(_mm256_loadu_ps(v + j),
-                                     _mm256_loadu_ps(bias + j));
-    _mm256_storeu_ps(v + j, Sigmoid8(sum));
-  }
-  for (; j < n; ++j) {
-    v[j] = 1.0f / (1.0f + std::exp(-(v[j] + bias[j])));
-  }
+  ForEachVector(n, [&](int64_t i, auto load, auto store) {
+    store(v + i, Sigmoid8(_mm256_add_ps(load(v + i), load(bias + i))));
+  });
 }
 
 void GruCandidateAvx2(float* out, const float* r, const float* hu,
                       const float* xn, const float* bias, int64_t n) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 xb = _mm256_add_ps(_mm256_loadu_ps(xn + j),
-                                    _mm256_loadu_ps(bias + j));
-    const __m256 arg = _mm256_add_ps(
-        _mm256_mul_ps(_mm256_loadu_ps(r + j), _mm256_loadu_ps(hu + j)), xb);
-    _mm256_storeu_ps(out + j, Tanh8(arg));
-  }
-  for (; j < n; ++j) {
-    const float xb = xn[j] + bias[j];
-    out[j] = std::tanh(r[j] * hu[j] + xb);
-  }
+  ForEachVector(n, [&](int64_t i, auto load, auto store) {
+    const __m256 xb = _mm256_add_ps(load(xn + i), load(bias + i));
+    const __m256 arg =
+        _mm256_add_ps(_mm256_mul_ps(load(r + i), load(hu + i)), xb);
+    store(out + i, Tanh8(arg));
+  });
 }
 
 // --- Time encoding (bitwise class) ------------------------------------------

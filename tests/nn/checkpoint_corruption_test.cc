@@ -108,12 +108,26 @@ std::vector<bool> StructuralMask(const std::string& bytes, bool has_meta) {
   return strict;
 }
 
+// A scratch file path unique to the running test instance. ctest runs each
+// instance as its own process, in parallel, so a shared name lets one
+// instance overwrite or delete another's file mid-sweep. The gtest name
+// ("Case/Param") carries the parameter.
+std::string InstancePath(const std::string& stem) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  for (char& c : name) {
+    if (c == '/') c = '_';
+  }
+  return ::testing::TempDir() + "/tpgnn_" + stem + "_" + name + ".txt";
+}
+
 class CheckpointCorruptionTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     failpoint::ClearAll();
     failpoint::SetSeed(1);
-    path_ = ::testing::TempDir() + "/tpgnn_corrupt_ckpt.txt";
+    path_ = InstancePath("corrupt_ckpt");
     pristine_ = SnapshotBytes(GetParam(), path_);
     TinyModel reference(7);
     reference_values_ = Flatten(reference);
@@ -274,8 +288,7 @@ TEST_P(CheckpointCorruptionTest, InjectedTornReadFailsTyped) {
 }
 
 TEST_P(CheckpointCorruptionTest, TornWriteReportsErrorAndNeverLoads) {
-  const std::string torn_path =
-      ::testing::TempDir() + "/tpgnn_torn_ckpt.txt";
+  const std::string torn_path = InstancePath("torn_ckpt");
   for (uint64_t budget : {0ull, 5ull, 25ull, 60ull}) {
     SCOPED_TRACE("torn write of " + std::to_string(budget) + " bytes");
     ScopedFailpoint torn("checkpoint.write", 1.0, Kind::kShortIo, budget);
@@ -295,8 +308,7 @@ TEST_P(CheckpointCorruptionTest, TornWriteReportsErrorAndNeverLoads) {
 }
 
 TEST_P(CheckpointCorruptionTest, InjectedWriteErrorLeavesNoFileBehind) {
-  const std::string fail_path =
-      ::testing::TempDir() + "/tpgnn_failed_ckpt.txt";
+  const std::string fail_path = InstancePath("failed_ckpt");
   ScopedFailpoint fail("checkpoint.write", 1.0, Kind::kReturnError);
   TinyModel model(7);
   Status s = SaveParameters(model, fail_path);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/model.h"
@@ -12,6 +13,8 @@
 #include "serve/metrics.h"
 #include "serve/session_shard.h"
 #include "serve_test_util.h"
+#include "tensor/kernels.h"
+#include "util/failpoint.h"
 
 namespace tpgnn::serve {
 namespace {
@@ -193,6 +196,128 @@ TEST_F(ShardTest, MetricsCountLifecycleEvents) {
   EXPECT_EQ(metrics_.sessions_begun.load(), 1u);
   EXPECT_EQ(metrics_.edges_ingested.load(), 2u);
   EXPECT_EQ(metrics_.sessions_ended.load(), 1u);
+}
+
+// --- Logit reuse for a session scored again with no new edge ---------------
+
+// The graph ShardTest::Begin opens, with `edges` appended.
+graph::TemporalGraph BeginGraph(
+    const std::vector<graph::TemporalEdge>& edges) {
+  graph::TemporalGraph g(/*num_nodes=*/2, /*feature_dim=*/3);
+  g.SetNodeFeature(0, {1.0f, 0.0f, 0.0f});
+  for (const graph::TemporalEdge& e : edges) g.AddEdge(e.src, e.dst, e.time);
+  return g;
+}
+
+// Makes reuse observable: shifts the model's classifier bias in place, so a
+// recomputed logit moves by about `delta` while a reused one keeps its bits.
+void ShiftClassifierBias(core::TpGnnModel& model, float delta) {
+  for (auto& [name, p] : model.NamedParameters()) {
+    if (name == "classifier/bias") p.MutableData()[0] += delta;
+  }
+}
+
+TEST_F(ShardTest, RescoreWithoutNewEdgeReusesTheLogit) {
+  SessionShard shard(registry_, ShardOptions{}, &metrics_);
+  ASSERT_TRUE(Begin(shard, 1).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 1, 0, 2.0, 0.0).ok());
+  ScoreResult first;
+  ASSERT_TRUE(shard.Score(1, &first).ok());
+  const uint64_t refolds = metrics_.state_refolds.load();
+  const uint64_t rescales = metrics_.state_rescales.load();
+
+  ShiftClassifierBias(registry_.initial_model(), 1.0f);
+  ScoreResult again;
+  ASSERT_TRUE(shard.Score(1, &again).ok());
+  EXPECT_EQ(again.logit, first.logit);
+  EXPECT_EQ(again.probability, first.probability);
+  EXPECT_EQ(again.edges_scored, 2);
+  // An unchanged session neither refolds nor rescales, reused or not.
+  EXPECT_EQ(metrics_.state_refolds.load(), refolds);
+  EXPECT_EQ(metrics_.state_rescales.load(), rescales);
+}
+
+TEST_F(ShardTest, NewEdgeMissesTheReusedLogit) {
+  SessionShard shard(registry_, ShardOptions{}, &metrics_);
+  ASSERT_TRUE(Begin(shard, 1).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
+  ScoreResult first;
+  ASSERT_TRUE(shard.Score(1, &first).ok());
+
+  ShiftClassifierBias(registry_.initial_model(), 1.0f);
+  ASSERT_TRUE(shard.AddEdge(1, 1, 0, 2.0, 0.0).ok());
+  ScoreResult after_edge;
+  ASSERT_TRUE(shard.Score(1, &after_edge).ok());
+  EXPECT_EQ(after_edge.edges_scored, 2);
+  EXPECT_EQ(after_edge.logit,
+            OfflineLogit(registry_.initial_model(),
+                         BeginGraph({{0, 1, 1.0}, {1, 0, 2.0}})));
+}
+
+TEST_F(ShardTest, RebaseMissesTheReusedLogit) {
+  ASSERT_TRUE(registry_.Register("v2", /*seed=*/11).ok());
+  SessionShard shard(registry_, ShardOptions{}, &metrics_);
+  ASSERT_TRUE(Begin(shard, 1).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
+  ScoreResult first;
+  ASSERT_TRUE(shard.Score(1, &first).ok());
+
+  ASSERT_TRUE(
+      registry_.Activate("v2", model::SwapPolicy::kImmediateRebase).ok());
+  ScoreResult rebased;
+  ASSERT_TRUE(shard.Score(1, &rebased).ok());
+  EXPECT_EQ(metrics_.version_rebases.load(), 1u);
+  core::TpGnnModel& v2 =
+      const_cast<core::TpGnnModel&>(registry_.Find("v2")->model());
+  EXPECT_EQ(rebased.logit, OfflineLogit(v2, BeginGraph({{0, 1, 1.0}})));
+  EXPECT_NE(rebased.logit, first.logit);
+}
+
+TEST_F(ShardTest, ForcedRefoldBypassesTheReusedLogit) {
+  SessionShard shard(registry_, ShardOptions{}, &metrics_);
+  ASSERT_TRUE(Begin(shard, 1).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
+  ScoreResult first;
+  ASSERT_TRUE(shard.Score(1, &first).ok());
+  const uint64_t refolds = metrics_.state_refolds.load();
+
+  failpoint::ScopedFailpoint fp("shard.rescale", /*probability=*/1.0,
+                                failpoint::Kind::kReturnError);
+  ScoreResult forced;
+  ASSERT_TRUE(shard.Score(1, &forced).ok());
+  EXPECT_EQ(fp.fires(), 1u);
+  // The replay refolds both SUM components (X and the time accumulator M)
+  // and lands on the same bits.
+  EXPECT_EQ(metrics_.state_refolds.load(), refolds + 2);
+  EXPECT_EQ(forced.logit, first.logit);
+}
+
+TEST_F(ShardTest, SimdModeChangeMissesTheReusedLogit) {
+  const tensor::SimdMode first_mode = tensor::ActiveSimdMode();
+  tensor::SimdMode other = tensor::SimdMode::kScalar;
+  if (first_mode == tensor::SimdMode::kScalar) {
+    if (tensor::SimdModeSupported(tensor::SimdMode::kAvx2)) {
+      other = tensor::SimdMode::kAvx2;
+    } else if (tensor::SimdModeSupported(tensor::SimdMode::kNeon)) {
+      other = tensor::SimdMode::kNeon;
+    } else {
+      GTEST_SKIP() << "only the scalar kernel table runs here";
+    }
+  }
+  SessionShard shard(registry_, ShardOptions{}, &metrics_);
+  ASSERT_TRUE(Begin(shard, 1).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
+  ScoreResult first;
+  ASSERT_TRUE(shard.Score(1, &first).ok());
+
+  ShiftClassifierBias(registry_.initial_model(), 1.0f);
+  tensor::ScopedSimdMode pin(other);
+  ScoreResult recomputed;
+  ASSERT_TRUE(shard.Score(1, &recomputed).ok());
+  // Recomputed under the shifted bias: about one logit unit higher (the
+  // other table's transcendental maps differ by a few ulp at most).
+  EXPECT_NEAR(recomputed.logit, first.logit + 1.0f, 1e-4f);
 }
 
 }  // namespace

@@ -194,6 +194,33 @@ TEST_F(SwapTest, ShadowScoreIsBitIdenticalToOfflineForwardAndNeverLeaks) {
   EXPECT_EQ(snap.shadow_latency.count, 1u);
 }
 
+TEST_F(SwapTest, ShadowTwinOfThePrimaryRecordsAnExactlyZeroDelta) {
+  // A shadow version with the primary's parameters: the shadow forward and
+  // the incrementally folded primary agree bit for bit, in arrival order
+  // and after a late edge reorders the chronology alike.
+  ASSERT_TRUE(registry_.Register("twin", kPrimarySeed).ok());
+  ASSERT_TRUE(registry_.SetShadow("twin").ok());
+  SessionShard shard(registry_, ShardOptions{}, &metrics_);
+  const graph::GraphDataset dataset = SwapDataset();
+  const graph::TemporalGraph& g = dataset[2].graph;
+  ASSERT_TRUE(shard
+                  .BeginSession(1, g.num_nodes(), g.feature_dim(),
+                                AllNodeFeatures(g), /*now=*/0.0)
+                  .ok());
+  FeedPrefix(shard, 1, g, static_cast<size_t>(g.num_edges()));
+  ScoreResult result;
+  ASSERT_TRUE(shard.Score(1, &result).ok());
+  ASSERT_TRUE(shard.ShadowScore(1, result.logit).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 0, 1, /*edge_time=*/0.0, /*now=*/0.0).ok());
+  ASSERT_TRUE(shard.Score(1, &result).ok());
+  ASSERT_TRUE(shard.ShadowScore(1, result.logit).ok());
+
+  const MetricsSnapshot snap = metrics_.Snapshot();
+  EXPECT_EQ(snap.shadow_scores, 2u);
+  EXPECT_EQ(snap.shadow_failures, 0u);
+  EXPECT_EQ(snap.shadow_delta_max, 0.0);
+}
+
 TEST_F(SwapTest, ShadowScoreIsNoOpWithoutShadowVersion) {
   SessionShard shard(registry_, ShardOptions{}, &metrics_);
   const graph::GraphDataset dataset = SwapDataset();

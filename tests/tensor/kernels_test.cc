@@ -16,6 +16,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,23 @@ void ExpectBitwiseEq(const std::vector<float>& expected,
   }
 }
 
+// Bit-for-bit equality, except that any two NaNs match: when both operands
+// of an add are NaN, x86 returns the first one's payload, and the compiler
+// may order a commutative operation either way. Signed zeros and
+// infinities must match exactly.
+void ExpectSameBits(const std::vector<float>& expected,
+                    const std::vector<float>& got, const std::string& what) {
+  ASSERT_EQ(expected.size(), got.size()) << what;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (std::isnan(expected[i]) && std::isnan(got[i])) continue;
+    uint32_t e, g;
+    std::memcpy(&e, &expected[i], sizeof(e));
+    std::memcpy(&g, &got[i], sizeof(g));
+    EXPECT_EQ(e, g) << what << " element " << i << ": scalar " << expected[i]
+                    << " vs " << got[i];
+  }
+}
+
 void ExpectUlpClose(const std::vector<float>& expected,
                     const std::vector<float>& got, const std::string& what) {
   ASSERT_EQ(expected.size(), got.size()) << what;
@@ -78,10 +97,18 @@ void ExpectUlpClose(const std::vector<float>& expected,
 // --- GEMM bitwise parity across edge shapes --------------------------------
 
 TEST(KernelsGemmTest, AccumulateBitwiseMatchesScalarAcrossEdgeShapes) {
+  // Beyond the edge shapes, the AVX2 kernel's register blocking: row pairs
+  // (n = 2, 5 = two pairs and a single row), 32- then 8-column blocks and
+  // scalar leftover columns (m = 31..33, 40, 96), 4-wide k tiles plus
+  // leftover k (k = 4, 6, 38).
+  std::vector<int64_t> ks(std::begin(kEdgeSizes), std::end(kEdgeSizes));
+  for (int64_t k : {4, 6, 38}) ks.push_back(k);
+  std::vector<int64_t> ms(std::begin(kEdgeSizes), std::end(kEdgeSizes));
+  for (int64_t m : {31, 32, 33, 40, 96}) ms.push_back(m);
   for (const Kernels* isa : SupportedIsaTables()) {
-    for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{3}}) {
-      for (int64_t k : kEdgeSizes) {
-        for (int64_t m : kEdgeSizes) {
+    for (int64_t n : {0, 1, 2, 3, 5}) {
+      for (int64_t k : ks) {
+        for (int64_t m : ms) {
           auto a = RandomVec(n * k, 17 * static_cast<uint64_t>(k + 1) + 1);
           auto b = RandomVec(k * m, 23 * static_cast<uint64_t>(m + 1) + 2);
           auto c_scalar = RandomVec(n * m, 5);
@@ -94,6 +121,42 @@ TEST(KernelsGemmTest, AccumulateBitwiseMatchesScalarAcrossEdgeShapes) {
                               std::to_string(n) + " k=" + std::to_string(k) +
                               " m=" + std::to_string(m));
         }
+      }
+    }
+  }
+}
+
+// The zero-tile skip is per row, also inside a row pair. B carries ±0, ±Inf
+// and NaN and C starts at -0.0, so a tile (or leftover k) the scalar kernel
+// skips but an ISA kernel computed would show: 0·Inf is NaN and
+// -0.0 + +0.0 is +0.0.
+TEST(KernelsGemmTest, ZeroTileSkipIsPerRowAndSpecialValuesMatchScalar) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  constexpr int64_t k = 9;  // Two tiles and one leftover k.
+  for (const Kernels* isa : SupportedIsaTables()) {
+    for (int64_t n : {2, 3}) {
+      for (int64_t m : {3, 8, 32, 40}) {
+        auto a = RandomVec(n * k, 111);
+        for (int64_t kk = 0; kk < 4; ++kk) a[kk] = 0.0f;          // Row 0.
+        for (int64_t kk = 4; kk < 9; ++kk) a[k + kk] = 0.0f;      // Row 1.
+        if (n == 3) {
+          for (int64_t kk = 0; kk < 4; ++kk) a[2 * k + kk] = -0.0f;  // Row 2.
+        }
+        auto b = RandomVec(k * m, 112);
+        const float specials[] = {inf, -inf, nan, 0.0f, -0.0f};
+        for (int64_t i = 0; i < k * m; i += 3) {
+          b[static_cast<size_t>(i)] = specials[(i / 3) % 5];
+        }
+        std::vector<float> c_scalar(static_cast<size_t>(n * m), -0.0f);
+        for (size_t i = 1; i < c_scalar.size(); i += 2) c_scalar[i] = 1.25f;
+        auto c_isa = c_scalar;
+        ScalarKernels().gemm_accumulate(a.data(), b.data(), c_scalar.data(),
+                                        n, k, m);
+        isa->gemm_accumulate(a.data(), b.data(), c_isa.data(), n, k, m);
+        ExpectSameBits(c_scalar, c_isa,
+                       std::string(isa->name) + " gemm zero tiles n=" +
+                           std::to_string(n) + " m=" + std::to_string(m));
       }
     }
   }
@@ -252,8 +315,13 @@ TEST(KernelsTimeEncodingTest, BitwiseMatchesScalarAcrossEdgeShapesAndTimes) {
 // --- ulp-class tolerance ----------------------------------------------------
 
 TEST(KernelsTranscendentalTest, UlpClassWithinBoundAcrossEdgeShapes) {
+  // Beyond the edge shapes: every masked-tail length alone (1..7), one
+  // full vector (8), a vector plus a one-lane tail (9), and the 38-wide
+  // readout row (four vectors and a six-lane tail).
+  std::vector<int64_t> sizes(std::begin(kEdgeSizes), std::end(kEdgeSizes));
+  for (int64_t n : {4, 6, 38}) sizes.push_back(n);
   for (const Kernels* isa : SupportedIsaTables()) {
-    for (int64_t n : kEdgeSizes) {
+    for (int64_t n : sizes) {
       const std::string tag =
           std::string(isa->name) + " n=" + std::to_string(n);
       // Cover the saturating tails as well as the active region.
@@ -289,6 +357,35 @@ TEST(KernelsTranscendentalTest, UlpClassWithinBoundAcrossEdgeShapes) {
       isa->gru_candidate(out_isa.data(), r.data(), hu.data(), xn.data(),
                          bias.data(), n);
       ExpectUlpClose(out_scalar, out_isa, tag + " gru_candidate");
+    }
+  }
+}
+
+TEST(KernelsTranscendentalTest, MaskedTailsWriteOnlyTheirLanes) {
+  constexpr float kSentinel = 12345.0f;
+  for (const Kernels* isa : SupportedIsaTables()) {
+    for (int64_t n = 1; n <= 9; ++n) {
+      const std::string tag =
+          std::string(isa->name) + " n=" + std::to_string(n);
+      // Inputs are n wide; outputs get 8 sentinel floats past the end.
+      auto in = RandomVec(n, 81);
+      auto out = RandomVec(n, 82);
+      out.resize(static_cast<size_t>(n + 8), kSentinel);
+      auto expect_sentinels = [&](const char* kernel) {
+        for (int64_t i = n; i < n + 8; ++i) {
+          EXPECT_EQ(out[static_cast<size_t>(i)], kSentinel)
+              << tag << " " << kernel << " wrote lane " << i;
+        }
+      };
+      isa->tanh_inplace(out.data(), n);
+      expect_sentinels("tanh_inplace");
+      isa->tanh_add(out.data(), in.data(), n);
+      expect_sentinels("tanh_add");
+      isa->sigmoid_bias(out.data(), in.data(), n);
+      expect_sentinels("sigmoid_bias");
+      isa->gru_candidate(out.data(), in.data(), in.data(), in.data(),
+                         in.data(), n);
+      expect_sentinels("gru_candidate");
     }
   }
 }
