@@ -43,6 +43,7 @@
 #include "serve/inference_engine.h"
 #include "serve/replay.h"
 #include "util/failpoint.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace core = tpgnn::core;
@@ -50,6 +51,8 @@ namespace data = tpgnn::data;
 namespace failpoint = tpgnn::failpoint;
 namespace net = tpgnn::net;
 namespace serve = tpgnn::serve;
+using tpgnn::FlagInt;
+using tpgnn::FlagValue;
 
 namespace {
 
@@ -63,24 +66,6 @@ constexpr char kDefaultFaults[] =
     "server.dispatch=0.02:delay:200,pool.acquire=0.2:alloc_fail,"
     "engine.score_enqueue=0.05:return_error,shard.begin=0.1:return_error,"
     "shard.score=0.05:return_error,shard.rescale=0.1:return_error";
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
-}
 
 core::TpGnnConfig SmallConfig() {
   core::TpGnnConfig config;

@@ -48,6 +48,7 @@
 #include "net/server.h"
 #include "serve/inference_engine.h"
 #include "serve/replay.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace cluster = tpgnn::cluster;
@@ -55,6 +56,8 @@ namespace core = tpgnn::core;
 namespace data = tpgnn::data;
 namespace net = tpgnn::net;
 namespace serve = tpgnn::serve;
+using tpgnn::FlagInt;
+using tpgnn::FlagValue;
 
 namespace {
 
@@ -66,24 +69,6 @@ core::TpGnnConfig BenchConfig() {
   core::TpGnnConfig config;
   config.updater = core::Updater::kSum;
   return config;
-}
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
 }
 
 std::vector<int> ParseSizes(const std::string& csv) {

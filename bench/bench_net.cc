@@ -27,7 +27,8 @@
 //        --parity_sample=N    sessions re-replayed for parity (default 5)
 // Exits nonzero when no session was scored, when the parity sample check
 // could not run, when any re-replayed score differs bitwise from the load
-// phase, or when the server reported protocol errors (CI smoke contract).
+// phase, when the server's METRICS payload does not parse, or when it
+// reports protocol errors (CI smoke contract).
 
 #include <atomic>
 #include <cstdio>
@@ -45,31 +46,16 @@
 #include "net/client.h"
 #include "serve/metrics.h"
 #include "serve/replay.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace data = tpgnn::data;
 namespace net = tpgnn::net;
 namespace serve = tpgnn::serve;
+using tpgnn::FlagInt;
+using tpgnn::FlagValue;
 
 namespace {
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
-}
 
 // (session_id, edges_scored) -> logit from the load phase; scoring is a
 // pure function of the session's event prefix, so a re-replay of the same
@@ -261,33 +247,6 @@ bool ReplaySessionsForParity(const net::ClientOptions& options,
   return *scores_compared > 0;
 }
 
-// Pulls `"name": <integer>` out of the server's metrics JSON. Returns false
-// when the field is absent (e.g. the METRICS RPC failed).
-bool ExtractJsonInt(const std::string& json, const std::string& name,
-                    uint64_t* value) {
-  const std::string needle = "\"" + name + "\":";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  size_t pos = at + needle.size();
-  while (pos < json.size() && json[pos] == ' ') {
-    ++pos;
-  }
-  uint64_t parsed = 0;
-  bool any = false;
-  while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') {
-    parsed = parsed * 10 + static_cast<uint64_t>(json[pos] - '0');
-    any = true;
-    ++pos;
-  }
-  if (!any) {
-    return false;
-  }
-  *value = parsed;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -450,17 +409,20 @@ int main(int argc, char** argv) {
     std::printf("parity sample: %zu sessions, %zu scores bit-identical\n",
                 parity_sessions, parity_scores);
   }
-  uint64_t protocol_errors = 0;
-  if (!ExtractJsonInt(server_metrics, "protocol_errors", &protocol_errors)) {
+  serve::MetricsSnapshot server_snapshot;
+  const tpgnn::Status parsed =
+      serve::ParseMetricsJson(server_metrics, &server_snapshot);
+  if (!parsed.ok()) {
     std::fprintf(stderr,
-                 "smoke check failed: METRICS RPC reported no "
-                 "protocol_errors field\n");
+                 "smoke check failed: METRICS payload did not parse: %s\n",
+                 parsed.ToString().c_str());
     return 1;
   }
-  if (protocol_errors > 0) {
+  if (server_snapshot.protocol_errors > 0) {
     std::fprintf(stderr,
                  "smoke check failed: server saw %llu protocol errors\n",
-                 static_cast<unsigned long long>(protocol_errors));
+                 static_cast<unsigned long long>(
+                     server_snapshot.protocol_errors));
     return 1;
   }
   return 0;

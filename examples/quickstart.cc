@@ -22,28 +22,14 @@
 #include "graph/temporal_graph.h"
 #include "nn/checkpoint.h"
 #include "tensor/ops.h"
+#include "util/flags.h"
 
 namespace core = tpgnn::core;
 namespace data = tpgnn::data;
 namespace eval = tpgnn::eval;
 namespace graph = tpgnn::graph;
 namespace nn = tpgnn::nn;
-
-namespace {
-
-// Value of a `--name=value` flag, or empty if absent.
-std::string FlagValue(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return "";
-}
-
-}  // namespace
+using tpgnn::FlagValue;
 
 int main(int argc, char** argv) {
   const std::string save_path = FlagValue(argc, argv, "save_checkpoint");

@@ -25,33 +25,14 @@
 #include "data/datasets.h"
 #include "serve/inference_engine.h"
 #include "serve/replay.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace core = tpgnn::core;
 namespace data = tpgnn::data;
 namespace serve = tpgnn::serve;
-
-namespace {
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
-}
-
-}  // namespace
+using tpgnn::FlagInt;
+using tpgnn::FlagValue;
 
 int main(int argc, char** argv) {
   const std::string checkpoint = FlagValue(argc, argv, "checkpoint", "");

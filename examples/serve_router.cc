@@ -29,8 +29,11 @@
 #include <vector>
 
 #include "cluster/router.h"
+#include "util/flags.h"
 
 namespace cluster = tpgnn::cluster;
+using tpgnn::FlagInt;
+using tpgnn::FlagValue;
 
 namespace {
 
@@ -40,24 +43,6 @@ void HandleSignal(int) {
   if (g_router != nullptr) {
     g_router->RequestShutdown();  // Async-signal-safe: atomic + pipe write.
   }
-}
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
 }
 
 // "host:port,host:port" -> configs named b0, b1, ... in flag order.

@@ -28,10 +28,13 @@
 #include "core/model.h"
 #include "net/server.h"
 #include "serve/inference_engine.h"
+#include "util/flags.h"
 
 namespace core = tpgnn::core;
 namespace net = tpgnn::net;
 namespace serve = tpgnn::serve;
+using tpgnn::FlagInt;
+using tpgnn::FlagValue;
 
 namespace {
 
@@ -41,24 +44,6 @@ void HandleSignal(int) {
   if (g_server != nullptr) {
     g_server->RequestShutdown();  // Async-signal-safe: atomic + pipe write.
   }
-}
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& default_value) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return default_value;
-}
-
-int64_t FlagInt(int argc, char** argv, const std::string& name,
-                int64_t default_value) {
-  const std::string value = FlagValue(argc, argv, name, "");
-  return value.empty() ? default_value : std::stoll(value);
 }
 
 }  // namespace

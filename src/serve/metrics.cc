@@ -1,10 +1,13 @@
 #include "serve/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "tensor/executor.h"
 #include "util/buffer_pool.h"
@@ -23,6 +26,76 @@ int BucketIndex(double micros) {
   return idx >= LatencyHistogram::kNumBuckets
              ? LatencyHistogram::kNumBuckets - 1
              : idx;
+}
+
+// Shortest round-trip text of `v`. A value exact in 6 significant digits
+// keeps printf's %g spelling, the payload's stable wire form.
+std::string JsonDouble(double v) {
+  char buf[32];
+  auto end = std::to_chars(buf, std::end(buf), v, std::chars_format::general,
+                           6).ptr;
+  double back = 0.0;
+  std::from_chars(buf, end, back);
+  if (back != v) {
+    end = std::to_chars(buf, std::end(buf), v).ptr;
+  }
+  return std::string(buf, end);
+}
+
+// Targeted extraction over the emitter's JSON shape. `FindNumber` locates
+// a quoted key inside [from, json.size()) and parses the value right after
+// its ':'; it tolerates unknown keys (skipped by not being asked for) but
+// not a missing requested one.
+//
+// ParseNumber reads one number at `*pos` (after optional spaces) that must
+// run up to a ',', '}', ']' or space. An unsigned T takes only exact
+// decimal integers, so nan, inf, -1, 1e30 or a value past 2^64 fails
+// instead of being cast; a double must be finite and non-negative.
+template <typename T>
+bool ParseNumber(const std::string& json, size_t* pos, T* value) {
+  const char* const end = json.data() + json.size();
+  const size_t at =
+      std::min(json.find_first_not_of(" \t\n\r", *pos), json.size());
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(json.data() + at, end, parsed);
+  if (ec != std::errc() || ptr == end ||
+      std::string_view(",}] \t\n\r").find(*ptr) == std::string_view::npos) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed) || parsed < 0.0) {
+      return false;
+    }
+  }
+  *value = parsed;
+  *pos = static_cast<size_t>(ptr - json.data());
+  return true;
+}
+
+template <typename T>
+bool FindNumber(const std::string& json, const std::string& key, size_t from,
+                T* value) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle, from);
+  size_t pos = at + needle.size();
+  return at != std::string::npos && ParseNumber(json, &pos, value);
+}
+
+bool ParseHistogram(const std::string& json, const std::string& name,
+                    size_t from, LatencyHistogram::Snapshot* h) {
+  const size_t at = json.find("\"" + name + "\":", from);
+  if (at == std::string::npos || !FindNumber(json, "count", at, &h->count) ||
+      !FindNumber(json, "sum", at, &h->sum_micros)) {
+    return false;
+  }
+  size_t pos = json.find('[', json.find("\"buckets\":", at));
+  for (uint64_t& bucket : h->buckets) {
+    // Step over the '[' or ',' before each count.
+    if (pos == std::string::npos || !ParseNumber(json, &++pos, &bucket)) {
+      return false;
+    }
+  }
+  return pos < json.size() && json[pos] == ']';
 }
 
 }  // namespace
@@ -101,189 +174,53 @@ std::string MetricsSnapshot::ToString() const {
   return os.str();
 }
 
-namespace {
-
-void AppendHistogramJson(std::ostringstream& os, const char* name,
-                         const LatencyHistogram::Snapshot& h) {
-  os << "\"" << name << "\": {\"count\": " << h.count
-     << ", \"mean\": " << h.mean_micros()
-     << ", \"sum\": " << h.sum_micros
-     << ", \"p50\": " << h.PercentileMicros(0.5)
-     << ", \"p95\": " << h.PercentileMicros(0.95)
-     << ", \"p99\": " << h.PercentileMicros(0.99) << ", \"buckets\": [";
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    if (i > 0) os << ", ";
-    os << h.buckets[static_cast<size_t>(i)];
-  }
-  os << "]}";
-}
-
-}  // namespace
-
 std::string MetricsSnapshot::ToJson() const {
   std::ostringstream os;
-  os << "{\"counters\": {"
-     << "\"events_ingested\": " << events_ingested
-     << ", \"sessions_begun\": " << sessions_begun
-     << ", \"sessions_ended\": " << sessions_ended
-     << ", \"sessions_evicted\": " << sessions_evicted
-     << ", \"sessions_exported\": " << sessions_exported
-     << ", \"sessions_imported\": " << sessions_imported
-     << ", \"edges_ingested\": " << edges_ingested
-     << ", \"scores_completed\": " << scores_completed
-     << ", \"scores_failed\": " << scores_failed
-     << ", \"overload_rejections\": " << overload_rejections
-     << ", \"state_refolds\": " << state_refolds
-     << ", \"state_rescales\": " << state_rescales
-     << ", \"model_loads\": " << model_loads
-     << ", \"model_activations\": " << model_activations
-     << ", \"version_rebases\": " << version_rebases
-     << ", \"mixed_version_scores\": " << mixed_version_scores
-     << ", \"shadow_scores\": " << shadow_scores
-     << ", \"shadow_failures\": " << shadow_failures
-     << ", \"bytes_received\": " << bytes_received
-     << ", \"bytes_sent\": " << bytes_sent
-     << ", \"frames_received\": " << frames_received
-     << ", \"frames_sent\": " << frames_sent
-     << ", \"connections_accepted\": " << connections_accepted
-     << ", \"connections_closed\": " << connections_closed
-     << ", \"protocol_errors\": " << protocol_errors
-     << ", \"pool_bytes_peak\": " << pool_bytes_peak
-     << ", \"pool_bytes_cached\": " << pool_bytes_cached
-     << ", \"arena_bytes_peak\": " << arena_bytes_peak
-     << ", \"rss_peak_kb\": " << rss_peak_kb
-     << "}, \"shadow\": {"
-     << "\"sum_abs_delta\": " << shadow_delta_sum
-     << ", \"max_abs_delta\": " << shadow_delta_max
+  os << "{\"counters\": {";
+  for (const CounterField& f : kCounterFields) {
+    os << (&f == kCounterFields ? "" : ", ") << '"' << f.key
+       << "\": " << this->*f.value;
+  }
+  os << "}, \"shadow\": {\"sum_abs_delta\": " << JsonDouble(shadow_delta_sum)
+     << ", \"max_abs_delta\": " << JsonDouble(shadow_delta_max)
      << "}, \"latency_us\": {";
-  AppendHistogramJson(os, "ingest", ingest_latency);
-  os << ", ";
-  AppendHistogramJson(os, "score", score_latency);
-  os << ", ";
-  AppendHistogramJson(os, "e2e", e2e_latency);
-  os << ", ";
-  AppendHistogramJson(os, "shadow", shadow_latency);
+  for (const HistogramField& f : kHistogramFields) {
+    const LatencyHistogram::Snapshot& h = this->*f.value;
+    os << (&f == kHistogramFields ? "" : ", ") << '"' << f.key
+       << "\": {\"count\": " << h.count
+       << ", \"mean\": " << JsonDouble(h.mean_micros())
+       << ", \"sum\": " << JsonDouble(h.sum_micros)
+       << ", \"p50\": " << JsonDouble(h.PercentileMicros(0.5))
+       << ", \"p95\": " << JsonDouble(h.PercentileMicros(0.95))
+       << ", \"p99\": " << JsonDouble(h.PercentileMicros(0.99))
+       << ", \"buckets\": [";
+    for (size_t i = 0; i < h.buckets.size(); ++i) {
+      os << (i > 0 ? ", " : "") << h.buckets[i];
+    }
+    os << "]}";
+  }
   os << "}}";
   return os.str();
 }
 
 void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
-  events_ingested += other.events_ingested;
-  sessions_begun += other.sessions_begun;
-  sessions_ended += other.sessions_ended;
-  sessions_evicted += other.sessions_evicted;
-  sessions_exported += other.sessions_exported;
-  sessions_imported += other.sessions_imported;
-  edges_ingested += other.edges_ingested;
-  scores_completed += other.scores_completed;
-  scores_failed += other.scores_failed;
-  overload_rejections += other.overload_rejections;
-  state_refolds += other.state_refolds;
-  state_rescales += other.state_rescales;
-  model_loads += other.model_loads;
-  model_activations += other.model_activations;
-  version_rebases += other.version_rebases;
-  mixed_version_scores += other.mixed_version_scores;
-  shadow_scores += other.shadow_scores;
-  shadow_failures += other.shadow_failures;
+  for (const CounterField& f : kCounterFields) {
+    uint64_t& into = this->*f.value;
+    const uint64_t from = other.*f.value;
+    into = f.merge == MergeKind::kMax ? std::max(into, from) : into + from;
+  }
   shadow_delta_sum += other.shadow_delta_sum;
   shadow_delta_max = std::max(shadow_delta_max, other.shadow_delta_max);
-  bytes_received += other.bytes_received;
-  bytes_sent += other.bytes_sent;
-  frames_received += other.frames_received;
-  frames_sent += other.frames_sent;
-  connections_accepted += other.connections_accepted;
-  connections_closed += other.connections_closed;
-  protocol_errors += other.protocol_errors;
-  // Memory peaks are gauges: the cluster-wide peak is the worst single
-  // process, not a sum. Cached pool bytes do sum (memory parked per process).
-  pool_bytes_peak = std::max(pool_bytes_peak, other.pool_bytes_peak);
-  pool_bytes_cached += other.pool_bytes_cached;
-  arena_bytes_peak = std::max(arena_bytes_peak, other.arena_bytes_peak);
-  rss_peak_kb = std::max(rss_peak_kb, other.rss_peak_kb);
-  auto merge_histogram = [](LatencyHistogram::Snapshot& into,
-                            const LatencyHistogram::Snapshot& from) {
+  for (const HistogramField& f : kHistogramFields) {
+    LatencyHistogram::Snapshot& into = this->*f.value;
+    const LatencyHistogram::Snapshot& from = other.*f.value;
     into.count += from.count;
     into.sum_micros += from.sum_micros;
-    for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-      into.buckets[static_cast<size_t>(i)] +=
-          from.buckets[static_cast<size_t>(i)];
+    for (size_t i = 0; i < into.buckets.size(); ++i) {
+      into.buckets[i] += from.buckets[i];
     }
-  };
-  merge_histogram(ingest_latency, other.ingest_latency);
-  merge_histogram(score_latency, other.score_latency);
-  merge_histogram(e2e_latency, other.e2e_latency);
-  merge_histogram(shadow_latency, other.shadow_latency);
+  }
 }
-
-namespace {
-
-// Targeted extraction over the emitter's JSON shape. `Find*` locate a
-// quoted key inside [from, json.size()) and parse the value right after
-// its ':'; they tolerate unknown keys (skipped by not being asked for)
-// but not a missing requested one.
-bool FindNumber(const std::string& json, const std::string& key, size_t from,
-                double* value, size_t* value_end) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = json.find(needle, from);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const char* start = json.c_str() + at + needle.size();
-  char* end = nullptr;
-  *value = std::strtod(start, &end);
-  if (end == start) {
-    return false;
-  }
-  if (value_end != nullptr) {
-    *value_end = static_cast<size_t>(end - json.c_str());
-  }
-  return true;
-}
-
-bool FindCounter(const std::string& json, const std::string& key, size_t from,
-                 uint64_t* value) {
-  double v = 0.0;
-  if (!FindNumber(json, key, from, &v, nullptr) || v < 0.0) {
-    return false;
-  }
-  *value = static_cast<uint64_t>(v);
-  return true;
-}
-
-bool ParseHistogram(const std::string& json, const std::string& name,
-                    size_t from, LatencyHistogram::Snapshot* h) {
-  const size_t at = json.find("\"" + name + "\":", from);
-  if (at == std::string::npos) {
-    return false;
-  }
-  if (!FindCounter(json, "count", at, &h->count) ||
-      !FindNumber(json, "sum", at, &h->sum_micros, nullptr)) {
-    return false;
-  }
-  const size_t buckets_at = json.find("\"buckets\":", at);
-  if (buckets_at == std::string::npos) {
-    return false;
-  }
-  size_t open = json.find('[', buckets_at);
-  if (open == std::string::npos) {
-    return false;
-  }
-  const char* cursor = json.c_str() + open + 1;
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    char* end = nullptr;
-    const double v = std::strtod(cursor, &end);
-    if (end == cursor || v < 0.0) {
-      return false;
-    }
-    h->buckets[static_cast<size_t>(i)] = static_cast<uint64_t>(v);
-    cursor = end;
-    while (*cursor == ',' || *cursor == ' ') ++cursor;
-  }
-  return *cursor == ']';
-}
-
-}  // namespace
 
 Status ParseMetricsJson(const std::string& json, MetricsSnapshot* snap) {
   *snap = MetricsSnapshot();
@@ -292,60 +229,22 @@ Status ParseMetricsJson(const std::string& json, MetricsSnapshot* snap) {
   if (counters_at == std::string::npos || latency_at == std::string::npos) {
     return Status::DataLoss("metrics JSON missing counters or latency_us");
   }
-  struct Field {
-    const char* key;
-    uint64_t* value;
-  };
-  const Field fields[] = {
-      {"events_ingested", &snap->events_ingested},
-      {"sessions_begun", &snap->sessions_begun},
-      {"sessions_ended", &snap->sessions_ended},
-      {"sessions_evicted", &snap->sessions_evicted},
-      {"sessions_exported", &snap->sessions_exported},
-      {"sessions_imported", &snap->sessions_imported},
-      {"edges_ingested", &snap->edges_ingested},
-      {"scores_completed", &snap->scores_completed},
-      {"scores_failed", &snap->scores_failed},
-      {"overload_rejections", &snap->overload_rejections},
-      {"state_refolds", &snap->state_refolds},
-      {"state_rescales", &snap->state_rescales},
-      {"model_loads", &snap->model_loads},
-      {"model_activations", &snap->model_activations},
-      {"version_rebases", &snap->version_rebases},
-      {"mixed_version_scores", &snap->mixed_version_scores},
-      {"shadow_scores", &snap->shadow_scores},
-      {"shadow_failures", &snap->shadow_failures},
-      {"bytes_received", &snap->bytes_received},
-      {"bytes_sent", &snap->bytes_sent},
-      {"frames_received", &snap->frames_received},
-      {"frames_sent", &snap->frames_sent},
-      {"connections_accepted", &snap->connections_accepted},
-      {"connections_closed", &snap->connections_closed},
-      {"protocol_errors", &snap->protocol_errors},
-      {"pool_bytes_peak", &snap->pool_bytes_peak},
-      {"pool_bytes_cached", &snap->pool_bytes_cached},
-      {"arena_bytes_peak", &snap->arena_bytes_peak},
-      {"rss_peak_kb", &snap->rss_peak_kb},
-  };
-  for (const Field& f : fields) {
-    if (!FindCounter(json, f.key, counters_at, f.value)) {
-      return Status::DataLoss(std::string("metrics JSON missing counter ") +
-                              f.key);
+  for (const CounterField& f : kCounterFields) {
+    if (!FindNumber(json, f.key, counters_at, &(snap->*f.value))) {
+      return Status::DataLoss(std::string("metrics JSON bad counter ") + f.key);
     }
   }
   const size_t shadow_at = json.find("\"shadow\":");
   if (shadow_at == std::string::npos || shadow_at > latency_at ||
-      !FindNumber(json, "sum_abs_delta", shadow_at, &snap->shadow_delta_sum,
-                  nullptr) ||
-      !FindNumber(json, "max_abs_delta", shadow_at, &snap->shadow_delta_max,
-                  nullptr)) {
+      !FindNumber(json, "sum_abs_delta", shadow_at, &snap->shadow_delta_sum) ||
+      !FindNumber(json, "max_abs_delta", shadow_at, &snap->shadow_delta_max)) {
     return Status::DataLoss("metrics JSON shadow block malformed");
   }
-  if (!ParseHistogram(json, "ingest", latency_at, &snap->ingest_latency) ||
-      !ParseHistogram(json, "score", latency_at, &snap->score_latency) ||
-      !ParseHistogram(json, "e2e", latency_at, &snap->e2e_latency) ||
-      !ParseHistogram(json, "shadow", latency_at, &snap->shadow_latency)) {
-    return Status::DataLoss("metrics JSON histogram malformed");
+  for (const HistogramField& f : kHistogramFields) {
+    if (!ParseHistogram(json, f.key, latency_at, &(snap->*f.value))) {
+      return Status::DataLoss(std::string("metrics JSON bad histogram ") +
+                              f.key);
+    }
   }
   return Status::Ok();
 }
@@ -368,51 +267,16 @@ std::string Metrics::ToJson() const { return Snapshot().ToJson(); }
 
 MetricsSnapshot Metrics::Snapshot() const {
   MetricsSnapshot snap;
-  snap.events_ingested = events_ingested.load(std::memory_order_relaxed);
-  snap.sessions_begun = sessions_begun.load(std::memory_order_relaxed);
-  snap.sessions_ended = sessions_ended.load(std::memory_order_relaxed);
-  snap.sessions_evicted = sessions_evicted.load(std::memory_order_relaxed);
-  snap.sessions_exported = sessions_exported.load(std::memory_order_relaxed);
-  snap.sessions_imported = sessions_imported.load(std::memory_order_relaxed);
-  snap.edges_ingested = edges_ingested.load(std::memory_order_relaxed);
-  snap.scores_completed = scores_completed.load(std::memory_order_relaxed);
-  snap.scores_failed = scores_failed.load(std::memory_order_relaxed);
-  snap.overload_rejections =
-      overload_rejections.load(std::memory_order_relaxed);
-  snap.state_refolds = state_refolds.load(std::memory_order_relaxed);
-  snap.state_rescales = state_rescales.load(std::memory_order_relaxed);
-  snap.model_loads = model_loads.load(std::memory_order_relaxed);
-  snap.model_activations = model_activations.load(std::memory_order_relaxed);
-  snap.version_rebases = version_rebases.load(std::memory_order_relaxed);
-  snap.mixed_version_scores =
-      mixed_version_scores.load(std::memory_order_relaxed);
-  snap.shadow_scores = shadow_scores.load(std::memory_order_relaxed);
-  snap.shadow_failures = shadow_failures.load(std::memory_order_relaxed);
-  snap.shadow_delta_sum =
-      static_cast<double>(
-          shadow_delta_sum_nanos.load(std::memory_order_relaxed)) *
-      1e-9;
-  {
-    const uint64_t bits =
-        shadow_delta_max_bits.load(std::memory_order_relaxed);
-    std::memcpy(&snap.shadow_delta_max, &bits, sizeof(bits));
+  for (const CounterField& f : kCounterFields) {
+    snap.*f.value = (this->*f.live).load(std::memory_order_relaxed);
   }
-  snap.bytes_received = bytes_received.load(std::memory_order_relaxed);
-  snap.bytes_sent = bytes_sent.load(std::memory_order_relaxed);
-  snap.frames_received = frames_received.load(std::memory_order_relaxed);
-  snap.frames_sent = frames_sent.load(std::memory_order_relaxed);
-  snap.connections_accepted =
-      connections_accepted.load(std::memory_order_relaxed);
-  snap.connections_closed = connections_closed.load(std::memory_order_relaxed);
-  snap.protocol_errors = protocol_errors.load(std::memory_order_relaxed);
-  snap.pool_bytes_peak = pool_bytes_peak.load(std::memory_order_relaxed);
-  snap.pool_bytes_cached = pool_bytes_cached.load(std::memory_order_relaxed);
-  snap.arena_bytes_peak = arena_bytes_peak.load(std::memory_order_relaxed);
-  snap.rss_peak_kb = rss_peak_kb.load(std::memory_order_relaxed);
-  snap.ingest_latency = ingest_latency.Snap();
-  snap.score_latency = score_latency.Snap();
-  snap.e2e_latency = e2e_latency.Snap();
-  snap.shadow_latency = shadow_latency.Snap();
+  snap.shadow_delta_sum = static_cast<double>(shadow_delta_sum_nanos.load(
+                              std::memory_order_relaxed)) * 1e-9;
+  const uint64_t bits = shadow_delta_max_bits.load(std::memory_order_relaxed);
+  std::memcpy(&snap.shadow_delta_max, &bits, sizeof(bits));
+  for (const HistogramField& f : kHistogramFields) {
+    snap.*f.value = (this->*f.live).Snap();
+  }
   return snap;
 }
 

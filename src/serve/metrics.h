@@ -14,6 +14,76 @@
 // consistent per counter (each is monotone) but not across counters, which
 // is the usual contract for serving metrics.
 
+// Every integer metric, in METRICS JSON order, as X(name, merge kind). One
+// row declares the Metrics atomic (relaxed increments), the MetricsSnapshot
+// field and its key under "counters"; Snapshot, ToJson, ParseMetricsJson
+// and MergeFrom walk kCounterFields below, so a new metric is one row. kSum
+// rows are flows and sum across processes; kMax rows are gauges, and a
+// cluster's value is its worst single process.
+#define TPGNN_SERVE_COUNTERS(X)                                               \
+  X(events_ingested, kSum)                                                    \
+  X(sessions_begun, kSum)                                                     \
+  X(sessions_ended, kSum)                                                     \
+  X(sessions_evicted, kSum)                                                   \
+  /* Session migrations (cluster serving, DESIGN.md §4.7): snapshots handed   \
+     out via SESSION_EXPORT and installed via SESSION_IMPORT                  \
+     (SessionShard::ExportSession / ImportSession). */                        \
+  X(sessions_exported, kSum)                                                  \
+  X(sessions_imported, kSum)                                                  \
+  X(edges_ingested, kSum)                                                     \
+  X(scores_completed, kSum)                                                   \
+  X(scores_failed, kSum)                                                      \
+  X(overload_rejections, kSum)                                                \
+  /* Folded session states discarded and rebuilt (time-normalization or       \
+     out-of-order invalidation; see SessionShard). */                         \
+  X(state_refolds, kSum)                                                      \
+  /* Scores that absorbed a max-time move through the TimeBasis::kInvariant   \
+     finalize-time correction instead of a refold (SessionShard; the O(1)     \
+     counterpart of state_refolds). */                                        \
+  X(state_rescales, kSum)                                                     \
+  /* Model lifecycle (versioned registry, DESIGN.md §4.8, driven through      \
+     InferenceEngine / SessionShard): checkpoint versions loaded, primary     \
+     activations, sessions refolded onto a new version after an               \
+     immediate-rebase swap or an A/B assignment change, and — the hot-swap    \
+     safety gate, asserted zero by bench_swap and the chaos sweep — scores    \
+     whose folded state mixed parameters from two versions. */                \
+  X(model_loads, kSum)                                                        \
+  X(model_activations, kSum)                                                  \
+  X(version_rebases, kSum)                                                    \
+  X(mixed_version_scores, kSum)                                               \
+  /* Shadow scoring (never returned to clients): candidate re-scores of       \
+     primary scores, off the client path, and failed shadow attempts. */      \
+  X(shadow_scores, kSum)                                                      \
+  X(shadow_failures, kSum)                                                    \
+  /* Network front-end, maintained by net::Server (zero unless one drives     \
+     the engine): wire bytes and frames each way, connection churn, and       \
+     streams torn down for protocol violations (kDataLoss frames). */         \
+  X(bytes_received, kSum)                                                     \
+  X(bytes_sent, kSum)                                                         \
+  X(frames_received, kSum)                                                    \
+  X(frames_sent, kSum)                                                        \
+  X(connections_accepted, kSum)                                               \
+  X(connections_closed, kSum)                                                 \
+  X(protocol_errors, kSum)                                                    \
+  /* Process memory high-water marks (soak harness, DESIGN.md §4.9),          \
+     written only by Metrics::UpdateResourcePeaks at checkpoint rate (never   \
+     the per-event hot path), zero until its first probe: the buffer pool's   \
+     live-bytes peak, its currently cached bytes, the summed planned-executor \
+     arena peak, and the kernel's RSS high-water mark (VmHWM). Peaks are      \
+     gauges, so they merge by max; cached bytes sum (parked per process). */  \
+  X(pool_bytes_peak, kMax)                                                    \
+  X(pool_bytes_cached, kSum)                                                  \
+  X(arena_bytes_peak, kMax)                                                   \
+  X(rss_peak_kb, kMax)
+
+// Latency distributions, all in microseconds, as X(field, key under
+// "latency_us"), in METRICS JSON order.
+#define TPGNN_SERVE_HISTOGRAMS(X)                                             \
+  X(ingest_latency, "ingest") /* One Ingest(event) call. */                   \
+  X(score_latency, "score")   /* The scoring computation. */                  \
+  X(e2e_latency, "e2e")       /* Score enqueue -> result ready. */            \
+  X(shadow_latency, "shadow") /* One shadow re-score (off hot path). */
+
 namespace tpgnn::serve {
 
 // Power-of-two-bucketed latency histogram over microseconds: bucket i
@@ -47,55 +117,16 @@ class LatencyHistogram {
 };
 
 struct MetricsSnapshot {
-  uint64_t events_ingested = 0;
-  uint64_t sessions_begun = 0;
-  uint64_t sessions_ended = 0;
-  uint64_t sessions_evicted = 0;
-  // Session migrations (cluster serving, DESIGN.md §4.7): snapshots handed
-  // out via SESSION_EXPORT and installed via SESSION_IMPORT.
-  uint64_t sessions_exported = 0;
-  uint64_t sessions_imported = 0;
-  uint64_t edges_ingested = 0;
-  uint64_t scores_completed = 0;
-  uint64_t scores_failed = 0;
-  uint64_t overload_rejections = 0;
-  uint64_t state_refolds = 0;
-  uint64_t state_rescales = 0;
-  // Model lifecycle (versioned registry, DESIGN.md §4.8).
-  uint64_t model_loads = 0;
-  uint64_t model_activations = 0;
-  uint64_t version_rebases = 0;
-  uint64_t mixed_version_scores = 0;
-  // Network front-end (zero unless a net::Server drives the engine).
-  uint64_t bytes_received = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t frames_received = 0;
-  uint64_t frames_sent = 0;
-  uint64_t connections_accepted = 0;
-  uint64_t connections_closed = 0;
-  uint64_t protocol_errors = 0;
-  // Process memory high-water marks (soak harness, DESIGN.md §4.9),
-  // captured by Metrics::UpdateResourcePeaks — zero until the first probe:
-  // the buffer pool's live-bytes peak, its currently cached bytes, the
-  // summed planned-executor arena peak, and the kernel's RSS high-water
-  // mark (VmHWM). The peaks are gauges, not flows: MergeFrom takes the max
-  // (a cluster's value is its worst single process), while bytes_cached
-  // sums (total memory parked across processes).
-  uint64_t pool_bytes_peak = 0;
-  uint64_t pool_bytes_cached = 0;
-  uint64_t arena_bytes_peak = 0;
-  uint64_t rss_peak_kb = 0;
-  // Shadow scoring block (never returned to clients): how many primary
-  // scores the shadow version re-scored, how many shadow attempts failed,
-  // and the primary-vs-shadow logit divergence.
-  uint64_t shadow_scores = 0;
-  uint64_t shadow_failures = 0;
+#define TPGNN_SERVE_FIELD(name, merge) uint64_t name = 0;
+  TPGNN_SERVE_COUNTERS(TPGNN_SERVE_FIELD)
+#undef TPGNN_SERVE_FIELD
+  // Shadow logit divergence, the one block outside the tables: Metrics
+  // keeps it as nanounits and raw double bits, and it merges as sum / max.
   double shadow_delta_sum = 0.0;  // Σ |primary_logit − shadow_logit|.
   double shadow_delta_max = 0.0;  // max |primary_logit − shadow_logit|.
-  LatencyHistogram::Snapshot ingest_latency;
-  LatencyHistogram::Snapshot score_latency;
-  LatencyHistogram::Snapshot e2e_latency;
-  LatencyHistogram::Snapshot shadow_latency;
+#define TPGNN_SERVE_FIELD(field, key) LatencyHistogram::Snapshot field;
+  TPGNN_SERVE_HISTOGRAMS(TPGNN_SERVE_FIELD)
+#undef TPGNN_SERVE_FIELD
 
   // One-line human-readable summary (counts + score p50/p95/p99).
   std::string ToString() const;
@@ -103,15 +134,15 @@ struct MetricsSnapshot {
   // latency histogram under "latency_us" as {count, mean, sum, p50, p95,
   // p99, buckets}. The raw buckets make the payload mergeable — a router
   // aggregating N backends parses them back and recomputes percentiles
-  // over the combined distribution instead of averaging quantiles.
-  // This is the METRICS RPC payload and the server half of BENCH_net.json.
+  // over the combined distribution instead of averaging quantiles. Doubles
+  // print in shortest round-trip form (printf's %g when that is exact), so
+  // a parse gives back the exact sums. This is the METRICS RPC payload and
+  // the server half of BENCH_net.json.
   std::string ToJson() const;
 
-  // Field-wise aggregation: counters sum, histogram counts/sums/buckets
-  // add, so percentiles of the merged snapshot are percentiles of the
-  // union distribution; the memory peaks take the max (worst single
-  // process) and pool_bytes_cached sums. The identity element is a default
-  // snapshot.
+  // Field-wise aggregation: each counter by its merge kind; histogram
+  // counts/sums/buckets add, so percentiles of the merged snapshot are
+  // percentiles of the union distribution. A default snapshot is identity.
   void MergeFrom(const MetricsSnapshot& other);
 };
 
@@ -119,85 +150,66 @@ struct MetricsSnapshot {
 // emitter's exact shape, not general JSON (unknown keys are skipped, but
 // structure is expected). The router's cluster-wide METRICS RPC uses this
 // to fold N backend payloads into one. kDataLoss when a required section
-// or histogram field is missing or malformed.
+// or field is missing or malformed: counters and bucket counts must be
+// exact unsigned 64-bit integers, sums finite and non-negative.
 Status ParseMetricsJson(const std::string& json, MetricsSnapshot* snap);
 
 class Metrics {
  public:
-  // Counters (relaxed increments).
-  std::atomic<uint64_t> events_ingested{0};
-  std::atomic<uint64_t> sessions_begun{0};
-  std::atomic<uint64_t> sessions_ended{0};
-  std::atomic<uint64_t> sessions_evicted{0};
-  // Migration traffic (SessionShard::ExportSession / ImportSession).
-  std::atomic<uint64_t> sessions_exported{0};
-  std::atomic<uint64_t> sessions_imported{0};
-  std::atomic<uint64_t> edges_ingested{0};
-  std::atomic<uint64_t> scores_completed{0};
-  std::atomic<uint64_t> scores_failed{0};
-  std::atomic<uint64_t> overload_rejections{0};
-  // Folded session states discarded and rebuilt (time-normalization or
-  // out-of-order invalidation; see SessionShard).
-  std::atomic<uint64_t> state_refolds{0};
-  // Scores that absorbed a max-time move through the TimeBasis::kInvariant
-  // finalize-time correction instead of a refold (SessionShard; the O(1)
-  // counterpart of state_refolds).
-  std::atomic<uint64_t> state_rescales{0};
-  // Model lifecycle (model::ModelRegistry through InferenceEngine /
-  // SessionShard): checkpoint versions loaded, primary activations,
-  // sessions refolded onto a new version after an immediate-rebase swap or
-  // an A/B assignment change, and — the hot-swap safety gate, asserted zero
-  // by bench_swap and the chaos sweep — scores whose folded state mixed
-  // parameters from two versions.
-  std::atomic<uint64_t> model_loads{0};
-  std::atomic<uint64_t> model_activations{0};
-  std::atomic<uint64_t> version_rebases{0};
-  std::atomic<uint64_t> mixed_version_scores{0};
-  // Shadow scoring: candidate re-scores of primary scores (off the client
-  // path), failed shadow attempts, and logit divergence. The divergence
-  // accumulators stay integral (nanounits / double bits) so the hot path
-  // needs no atomic<double> CAS loop for the common add.
-  std::atomic<uint64_t> shadow_scores{0};
-  std::atomic<uint64_t> shadow_failures{0};
+#define TPGNN_SERVE_FIELD(name, merge) std::atomic<uint64_t> name{0};
+  TPGNN_SERVE_COUNTERS(TPGNN_SERVE_FIELD)
+#undef TPGNN_SERVE_FIELD
+  // Shadow divergence accumulators stay integral (nanounits / double bits)
+  // so the hot path needs no atomic<double> CAS loop for the common add.
   std::atomic<uint64_t> shadow_delta_sum_nanos{0};
   std::atomic<uint64_t> shadow_delta_max_bits{0};
   // Records one |primary − shadow| logit delta into the sum and running
   // max (CAS max over double bits; monotone for non-negative doubles).
   void RecordShadowDelta(double abs_delta);
-  // Network front-end counters, maintained by net::Server: wire bytes and
-  // frames in each direction, connection churn, and streams torn down for
-  // protocol violations (kDataLoss frames).
-  std::atomic<uint64_t> bytes_received{0};
-  std::atomic<uint64_t> bytes_sent{0};
-  std::atomic<uint64_t> frames_received{0};
-  std::atomic<uint64_t> frames_sent{0};
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_closed{0};
-  std::atomic<uint64_t> protocol_errors{0};
-  // Memory high-water gauges, written only by UpdateResourcePeaks below
-  // (checkpoint-rate probes, never the per-event hot path).
-  std::atomic<uint64_t> pool_bytes_peak{0};
-  std::atomic<uint64_t> pool_bytes_cached{0};
-  std::atomic<uint64_t> arena_bytes_peak{0};
-  std::atomic<uint64_t> rss_peak_kb{0};
 
   // Probes the buffer pool, the planned-executor arena accounting, and the
-  // kernel's VmHWM, folding the readings into the gauges above (peaks only
-  // ever rise; bytes_cached tracks the current reading). Callers that
+  // kernel's VmHWM, folding the readings into the memory gauges (peaks
+  // only ever rise; bytes_cached tracks the current reading). Callers that
   // export metrics for bounded-memory gating — the METRICS RPC, the soak
   // harness's checkpoints — call this right before Snapshot/ToJson.
   void UpdateResourcePeaks();
 
-  // Latency distributions, all in microseconds.
-  LatencyHistogram ingest_latency;  // One Ingest(event) call.
-  LatencyHistogram score_latency;   // The scoring computation.
-  LatencyHistogram e2e_latency;     // Score enqueue -> result ready.
-  LatencyHistogram shadow_latency;  // One shadow re-score (off hot path).
+#define TPGNN_SERVE_FIELD(field, key) LatencyHistogram field;
+  TPGNN_SERVE_HISTOGRAMS(TPGNN_SERVE_FIELD)
+#undef TPGNN_SERVE_FIELD
 
   MetricsSnapshot Snapshot() const;
   // Shorthand for Snapshot().ToJson().
   std::string ToJson() const;
 };
+
+// The two tables as data, for code that loops over every metric.
+enum class MergeKind { kSum, kMax };
+
+struct CounterField {
+  const char* key;
+  MergeKind merge;
+  uint64_t MetricsSnapshot::*value;
+  std::atomic<uint64_t> Metrics::*live;
+};
+
+struct HistogramField {
+  const char* key;
+  LatencyHistogram::Snapshot MetricsSnapshot::*value;
+  LatencyHistogram Metrics::*live;
+};
+
+#define TPGNN_SERVE_FIELD(name, merge) \
+  {#name, MergeKind::merge, &MetricsSnapshot::name, &Metrics::name},
+inline constexpr CounterField kCounterFields[] = {
+    TPGNN_SERVE_COUNTERS(TPGNN_SERVE_FIELD)};
+#undef TPGNN_SERVE_FIELD
+
+#define TPGNN_SERVE_FIELD(field, key) \
+  {key, &MetricsSnapshot::field, &Metrics::field},
+inline constexpr HistogramField kHistogramFields[] = {
+    TPGNN_SERVE_HISTOGRAMS(TPGNN_SERVE_FIELD)};
+#undef TPGNN_SERVE_FIELD
 
 }  // namespace tpgnn::serve
 

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/metrics.h"
@@ -96,20 +99,15 @@ TEST(MetricsTest, SnapshotCarriesCountersAndSummarizes) {
   EXPECT_NE(text.find("rescales=5"), std::string::npos) << text;
 }
 
-// Minimal checks over the JSON the METRICS RPC ships: every counter lands
-// under "counters" with its exact value, histogram quantiles match the
-// snapshot's own estimates, and the structure is balanced.
+// The JSON the METRICS RPC ships: every live counter reaches the snapshot
+// and lands under "counters" with its exact value, histogram quantiles
+// match the snapshot's own estimates, and the structure is balanced.
 TEST(MetricsTest, ToJsonCarriesCountersAndQuantiles) {
   Metrics metrics;
-  metrics.events_ingested.fetch_add(10);
-  metrics.sessions_begun.fetch_add(2);
-  metrics.scores_completed.fetch_add(3);
-  metrics.bytes_received.fetch_add(4096);
-  metrics.frames_sent.fetch_add(7);
-  metrics.connections_accepted.fetch_add(1);
-  metrics.protocol_errors.fetch_add(1);
-  metrics.state_refolds.fetch_add(2);
-  metrics.state_rescales.fetch_add(9);
+  uint64_t value = 1000;
+  for (const CounterField& f : kCounterFields) {
+    (metrics.*f.live).fetch_add(value++);
+  }
   for (int i = 0; i < 90; ++i) metrics.score_latency.Record(100.0);
   for (int i = 0; i < 10; ++i) metrics.score_latency.Record(5000.0);
 
@@ -118,18 +116,21 @@ TEST(MetricsTest, ToJsonCarriesCountersAndQuantiles) {
   // Metrics::ToJson is exactly the snapshot's serialization.
   EXPECT_EQ(json, snap.ToJson());
 
-  for (const char* expected :
-       {"\"counters\"", "\"events_ingested\": 10", "\"sessions_begun\": 2",
-        "\"scores_completed\": 3", "\"bytes_received\": 4096",
-        "\"frames_sent\": 7", "\"connections_accepted\": 1",
-        "\"protocol_errors\": 1", "\"state_refolds\": 2",
-        "\"state_rescales\": 9", "\"latency_us\"", "\"score\"",
-        "\"count\": 100"}) {
+  value = 1000;
+  for (const CounterField& f : kCounterFields) {
+    EXPECT_EQ(snap.*f.value, value) << f.key;
+    const std::string expected =
+        "\"" + std::string(f.key) + "\": " + std::to_string(value++);
     EXPECT_NE(json.find(expected), std::string::npos) << expected << "\n"
                                                       << json;
   }
-  // The emitted quantiles are the snapshot's own estimates (formatted the
-  // same way ToJson streams them).
+  for (const char* expected : {"\"counters\"", "\"latency_us\"",
+                               "\"score\"", "\"count\": 100"}) {
+    EXPECT_NE(json.find(expected), std::string::npos) << expected << "\n"
+                                                      << json;
+  }
+  // The emitted quantiles are the snapshot's own estimates (128 and 8192
+  // print the same through a stream as through ToJson).
   std::ostringstream quantiles;
   quantiles << "\"p50\": " << snap.score_latency.PercentileMicros(0.5);
   EXPECT_NE(json.find(quantiles.str()), std::string::npos)
@@ -151,31 +152,25 @@ TEST(MetricsTest, ToJsonCarriesCountersAndQuantiles) {
   EXPECT_EQ(json.back(), '}');
 }
 
-// A snapshot with every counter and histogram field distinct, so a
-// roundtrip or merge that drops/swaps a field cannot pass by accident.
-// Values stay small enough that ToJson's default stream precision prints
-// the histogram sums exactly.
+// A snapshot with every counter, shadow double and histogram field
+// distinct, so a roundtrip or merge that drops/swaps a field cannot pass by
+// accident. It walks the metric tables, so a new row is covered without an
+// edit here. The doubles need more than 6 significant digits, so they only
+// survive a roundtrip printed in shortest round-trip form.
 MetricsSnapshot DistinctSnapshot(uint64_t seed) {
   MetricsSnapshot snap;
   uint64_t v = seed;
-  for (uint64_t* counter :
-       {&snap.events_ingested, &snap.sessions_begun, &snap.sessions_ended,
-        &snap.sessions_evicted, &snap.sessions_exported,
-        &snap.sessions_imported, &snap.edges_ingested, &snap.scores_completed,
-        &snap.scores_failed, &snap.overload_rejections, &snap.state_refolds,
-        &snap.state_rescales, &snap.bytes_received, &snap.bytes_sent,
-        &snap.frames_received, &snap.frames_sent, &snap.connections_accepted,
-        &snap.connections_closed, &snap.protocol_errors,
-        &snap.pool_bytes_peak, &snap.pool_bytes_cached,
-        &snap.arena_bytes_peak, &snap.rss_peak_kb}) {
-    *counter = v++;
+  for (const CounterField& f : kCounterFields) {
+    snap.*f.value = v++;
   }
-  uint64_t bucket = seed % LatencyHistogram::kNumBuckets;
-  for (LatencyHistogram::Snapshot* h :
-       {&snap.ingest_latency, &snap.score_latency, &snap.e2e_latency}) {
-    h->count = v;
-    h->sum_micros = static_cast<double>(v) * 100.0;
-    h->buckets[bucket] = v;
+  snap.shadow_delta_sum = static_cast<double>(v++) + 0.123456789;
+  snap.shadow_delta_max = static_cast<double>(v++) * 1.2345678e-9;
+  size_t bucket = seed % LatencyHistogram::kNumBuckets;
+  for (const HistogramField& f : kHistogramFields) {
+    LatencyHistogram::Snapshot& h = snap.*f.value;
+    h.count = v;
+    h.sum_micros = static_cast<double>(v) * 1234.5 + 0.25;
+    h.buckets[bucket] = v;
     ++v;
     bucket = (bucket + 7) % LatencyHistogram::kNumBuckets;
   }
@@ -184,38 +179,15 @@ MetricsSnapshot DistinctSnapshot(uint64_t seed) {
 
 void ExpectSnapshotsEqual(const MetricsSnapshot& want,
                           const MetricsSnapshot& got) {
-  EXPECT_EQ(want.events_ingested, got.events_ingested);
-  EXPECT_EQ(want.sessions_begun, got.sessions_begun);
-  EXPECT_EQ(want.sessions_ended, got.sessions_ended);
-  EXPECT_EQ(want.sessions_evicted, got.sessions_evicted);
-  EXPECT_EQ(want.sessions_exported, got.sessions_exported);
-  EXPECT_EQ(want.sessions_imported, got.sessions_imported);
-  EXPECT_EQ(want.edges_ingested, got.edges_ingested);
-  EXPECT_EQ(want.scores_completed, got.scores_completed);
-  EXPECT_EQ(want.scores_failed, got.scores_failed);
-  EXPECT_EQ(want.overload_rejections, got.overload_rejections);
-  EXPECT_EQ(want.state_refolds, got.state_refolds);
-  EXPECT_EQ(want.state_rescales, got.state_rescales);
-  EXPECT_EQ(want.bytes_received, got.bytes_received);
-  EXPECT_EQ(want.bytes_sent, got.bytes_sent);
-  EXPECT_EQ(want.frames_received, got.frames_received);
-  EXPECT_EQ(want.frames_sent, got.frames_sent);
-  EXPECT_EQ(want.connections_accepted, got.connections_accepted);
-  EXPECT_EQ(want.connections_closed, got.connections_closed);
-  EXPECT_EQ(want.protocol_errors, got.protocol_errors);
-  EXPECT_EQ(want.pool_bytes_peak, got.pool_bytes_peak);
-  EXPECT_EQ(want.pool_bytes_cached, got.pool_bytes_cached);
-  EXPECT_EQ(want.arena_bytes_peak, got.arena_bytes_peak);
-  EXPECT_EQ(want.rss_peak_kb, got.rss_peak_kb);
-  const LatencyHistogram::Snapshot* want_h[] = {
-      &want.ingest_latency, &want.score_latency, &want.e2e_latency};
-  const LatencyHistogram::Snapshot* got_h[] = {
-      &got.ingest_latency, &got.score_latency, &got.e2e_latency};
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(want_h[i]->count, got_h[i]->count) << "histogram " << i;
-    EXPECT_EQ(want_h[i]->sum_micros, got_h[i]->sum_micros)
-        << "histogram " << i;
-    EXPECT_EQ(want_h[i]->buckets, got_h[i]->buckets) << "histogram " << i;
+  for (const CounterField& f : kCounterFields) {
+    EXPECT_EQ(want.*f.value, got.*f.value) << f.key;
+  }
+  EXPECT_EQ(want.shadow_delta_sum, got.shadow_delta_sum);
+  EXPECT_EQ(want.shadow_delta_max, got.shadow_delta_max);
+  for (const HistogramField& f : kHistogramFields) {
+    EXPECT_EQ((want.*f.value).count, (got.*f.value).count) << f.key;
+    EXPECT_EQ((want.*f.value).sum_micros, (got.*f.value).sum_micros) << f.key;
+    EXPECT_EQ((want.*f.value).buckets, (got.*f.value).buckets) << f.key;
   }
 }
 
@@ -262,24 +234,33 @@ TEST(MetricsJsonTest, ParseFailsTypedOnStructuralDamage) {
 }
 
 TEST(MetricsJsonTest, MergeFromSumsCountersAndHistograms) {
-  MetricsSnapshot merged = DistinctSnapshot(100);
-  const MetricsSnapshot a = merged;
+  const MetricsSnapshot a = DistinctSnapshot(100);
   const MetricsSnapshot b = DistinctSnapshot(1000);
-  merged.MergeFrom(b);
-
-  EXPECT_EQ(merged.events_ingested, a.events_ingested + b.events_ingested);
-  EXPECT_EQ(merged.protocol_errors, a.protocol_errors + b.protocol_errors);
-  EXPECT_EQ(merged.sessions_exported,
-            a.sessions_exported + b.sessions_exported);
-  EXPECT_EQ(merged.score_latency.count,
-            a.score_latency.count + b.score_latency.count);
-  EXPECT_EQ(merged.score_latency.sum_micros,
-            a.score_latency.sum_micros + b.score_latency.sum_micros);
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    const auto idx = static_cast<size_t>(i);
-    EXPECT_EQ(merged.e2e_latency.buckets[idx],
-              a.e2e_latency.buckets[idx] + b.e2e_latency.buckets[idx])
-        << "bucket " << i;
+  // Both orders, so a kMax row that merely took one side cannot pass.
+  for (const auto& [first, second] : {std::pair(a, b), std::pair(b, a)}) {
+    MetricsSnapshot merged = first;
+    merged.MergeFrom(second);
+    for (const CounterField& f : kCounterFields) {
+      const uint64_t want = f.merge == MergeKind::kMax
+                                ? std::max(a.*f.value, b.*f.value)
+                                : a.*f.value + b.*f.value;
+      EXPECT_EQ(merged.*f.value, want) << f.key;
+    }
+    EXPECT_EQ(merged.shadow_delta_sum, first.shadow_delta_sum +
+                                           second.shadow_delta_sum);
+    EXPECT_EQ(merged.shadow_delta_max,
+              std::max(a.shadow_delta_max, b.shadow_delta_max));
+    for (const HistogramField& f : kHistogramFields) {
+      const LatencyHistogram::Snapshot& x = first.*f.value;
+      const LatencyHistogram::Snapshot& y = second.*f.value;
+      const LatencyHistogram::Snapshot& m = merged.*f.value;
+      EXPECT_EQ(m.count, x.count + y.count) << f.key;
+      EXPECT_EQ(m.sum_micros, x.sum_micros + y.sum_micros) << f.key;
+      for (size_t i = 0; i < m.buckets.size(); ++i) {
+        EXPECT_EQ(m.buckets[i], x.buckets[i] + y.buckets[i])
+            << f.key << " bucket " << i;
+      }
+    }
   }
 
   // Default snapshot is the identity element.
@@ -355,6 +336,130 @@ TEST(MetricsJsonTest, MergedPercentilesSpanTheUnionDistribution) {
   EXPECT_EQ(fast.score_latency.count, 100u);
   EXPECT_EQ(fast.score_latency.PercentileMicros(0.5), 128.0);
   EXPECT_EQ(fast.score_latency.PercentileMicros(0.95), 8192.0);
+}
+
+// `json` with the value that follows the first `prefix` at or after `from`
+// replaced by `token` (the value runs up to the next ',', '}' or ']').
+std::string WithValue(std::string json, const std::string& prefix,
+                      const std::string& token, size_t from = 0) {
+  const size_t at = json.find(prefix, from);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << prefix << " in " << json;
+    return json;
+  }
+  const size_t begin = at + prefix.size();
+  return json.replace(begin, json.find_first_of(",}]", begin) - begin, token);
+}
+
+TEST(MetricsJsonTest, ParseRejectsMalformedNumbers) {
+  const std::string good = DistinctSnapshot(9).ToJson();
+  const size_t score_at = good.find("\"score\": {");
+  ASSERT_NE(score_at, std::string::npos);
+  MetricsSnapshot scratch;
+  ASSERT_TRUE(ParseMetricsJson(good, &scratch).ok());
+
+  // Counters and bucket counts are exact unsigned 64-bit integers: no
+  // NaN, infinity, exponent, fraction, sign or value past 2^64 - 1.
+  for (const char* token : {"nan", "inf", "1e30", "-1", "1.5", "0x10", "",
+                            "18446744073709551616"}) {
+    for (const auto& [prefix, from] :
+         {std::pair<std::string, size_t>("\"protocol_errors\": ", 0),
+          std::pair<std::string, size_t>("\"count\": ", score_at),
+          std::pair<std::string, size_t>("\"buckets\": [", score_at)}) {
+      const std::string bad = WithValue(good, prefix, token, from);
+      EXPECT_EQ(ParseMetricsJson(bad, &scratch).code(), StatusCode::kDataLoss)
+          << prefix << token;
+    }
+  }
+  // Sums and the shadow doubles must be finite and non-negative.
+  for (const char* token : {"nan", "inf", "-inf", "-1", "1e400", ""}) {
+    for (const auto& [prefix, from] :
+         {std::pair<std::string, size_t>("\"sum_abs_delta\": ", 0),
+          std::pair<std::string, size_t>("\"max_abs_delta\": ", 0),
+          std::pair<std::string, size_t>("\"sum\": ", score_at)}) {
+      const std::string bad = WithValue(good, prefix, token, from);
+      EXPECT_EQ(ParseMetricsJson(bad, &scratch).code(), StatusCode::kDataLoss)
+          << prefix << token;
+    }
+  }
+}
+
+TEST(MetricsJsonTest, IntegersRoundTripExactlyPast2To53) {
+  constexpr uint64_t kPast2To53 = (uint64_t{1} << 53) + 1;
+  MetricsSnapshot original;
+  original.events_ingested = kPast2To53;
+  original.bytes_sent = std::numeric_limits<uint64_t>::max();
+  original.e2e_latency.count = kPast2To53;
+  original.e2e_latency.buckets[3] = kPast2To53;
+  const std::string json = original.ToJson();
+  EXPECT_NE(json.find("\"events_ingested\": 9007199254740993"),
+            std::string::npos)
+      << json;
+  MetricsSnapshot parsed;
+  ASSERT_TRUE(ParseMetricsJson(json, &parsed).ok());
+  ExpectSnapshotsEqual(original, parsed);
+}
+
+TEST(MetricsJsonTest, DoublesRoundTripExactly) {
+  MetricsSnapshot original;
+  original.score_latency.count = 3;
+  original.score_latency.sum_micros = 1234567.25;
+  original.shadow_delta_max = 1.2345678e-7;
+  original.shadow_delta_sum = 0.1 + 0.2;  // 0.30000000000000004.
+  MetricsSnapshot parsed;
+  ASSERT_TRUE(ParseMetricsJson(original.ToJson(), &parsed).ok());
+  ExpectSnapshotsEqual(original, parsed);
+
+  // A value exact in 6 significant digits keeps printf's %g spelling,
+  // even where a shorter form exists ("1e+05").
+  MetricsSnapshot short_values;
+  short_values.ingest_latency.count = 4;
+  short_values.ingest_latency.sum_micros = 100000.0;
+  short_values.shadow_delta_max = 1e-7;
+  const std::string json = short_values.ToJson();
+  for (const char* expected : {"\"mean\": 25000", "\"sum\": 100000",
+                               "\"max_abs_delta\": 1e-07"}) {
+    EXPECT_NE(json.find(expected), std::string::npos) << expected << "\n"
+                                                      << json;
+  }
+}
+
+// A backend payload damaged in transit (cut short, or any single byte
+// changed) either still parses or fails typed, never anything else; under
+// the sanitizers this also checks that the parser reads only inside the
+// buffer.
+TEST(MetricsJsonTest, DamagedPayloadParsesOrFailsTyped) {
+  Metrics metrics;
+  for (const CounterField& f : kCounterFields) {
+    (metrics.*f.live).fetch_add(12345);
+  }
+  metrics.RecordShadowDelta(0.001953125);
+  for (const HistogramField& f : kHistogramFields) {
+    for (double micros : {0.5, 3.0, 700.0, 1e5}) {
+      (metrics.*f.live).Record(micros);
+    }
+  }
+  metrics.UpdateResourcePeaks();
+  const std::string payload = metrics.ToJson();
+  MetricsSnapshot scratch;
+  ASSERT_TRUE(ParseMetricsJson(payload, &scratch).ok());
+
+  auto expect_typed = [&](const std::string& damaged, const char* what,
+                          size_t at) {
+    const Status st = ParseMetricsJson(damaged, &scratch);
+    EXPECT_TRUE(st.ok() || st.code() == StatusCode::kDataLoss)
+        << what << " at byte " << at << ": " << st;
+  };
+  for (size_t len = 0; len < payload.size(); ++len) {
+    expect_typed(payload.substr(0, len), "truncated", len);
+  }
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (unsigned char flip : {0x01, 0x20, 0xFF}) {
+      std::string damaged = payload;
+      damaged[i] = static_cast<char>(damaged[i] ^ flip);
+      expect_typed(damaged, "flipped", i);
+    }
+  }
 }
 
 }  // namespace
