@@ -11,7 +11,6 @@ namespace tpgnn::core {
 
 using tensor::Add;
 using tensor::GatherRows;
-using tensor::Reshape;
 using tensor::RowSpanOf;
 using tensor::Scale;
 using tensor::Tensor;
@@ -118,14 +117,13 @@ Tensor GlobalTemporalExtractor::Forward(
   }
 
   const int64_t m = static_cast<int64_t>(edge_order.size());
-  Tensor state = Tensor::Zeros({1, hidden_dim_});
   if (m == 0) {
-    return Reshape(state, {hidden_dim_});
+    return Tensor::Zeros({hidden_dim_});
   }
 
-  // Hoist the per-edge endpoint lookups into two gathers and aggregate all
-  // edge embeddings at matrix level; per-row values are identical to the old
-  // per-edge Row/AggregateEdge chain, at O(1) recorded ops instead of O(m).
+  // The endpoint lookups are two gathers and the edge aggregation one
+  // matrix-level op; Eqs. (7)-(10), one GRU step per edge in establishment
+  // order, are a single recorded op over the [m, edge_dim] edge matrix.
   std::vector<int64_t> srcs(static_cast<size_t>(m));
   std::vector<int64_t> dsts(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
@@ -135,20 +133,10 @@ Tensor GlobalTemporalExtractor::Forward(
   Tensor hu = GatherRows(node_embeddings, srcs);        // [m, k]
   Tensor hv = GatherRows(node_embeddings, dsts);        // [m, k]
   Tensor edges = AggregateEdge(edge_agg_, hu, hv);      // [m, edge_dim]
-
-  std::vector<Tensor> states;
-  states.reserve(edge_order.size());
-  for (int64_t i = 0; i < m; ++i) {
-    Tensor edge_embedding = GatherRows(edges, {i});     // [1, edge_dim]
-    // Eqs. (7)-(10): one GRU step per edge in establishment order.
-    state = gru_.Forward(edge_embedding, state);
-    states.push_back(state);
-  }
-  if (readout_ == ExtractorReadout::kLastState) {
-    return Reshape(state, {hidden_dim_});
-  }
-  Tensor stacked = tensor::Concat(states, /*axis=*/0);  // [m, d]
-  return tensor::MeanAxis(stacked, /*axis=*/0);
+  return gru_.ForwardSequence(edges,
+                              readout_ == ExtractorReadout::kLastState
+                                  ? nn::SequenceReadout::kLastState
+                                  : nn::SequenceReadout::kMeanState);
 }
 
 Tensor GlobalTemporalExtractor::ForwardInference(
@@ -160,8 +148,8 @@ Tensor GlobalTemporalExtractor::ForwardInference(
   // which only adds h·U and applies the gate maps. Every state element sees
   // the same kernel expressions in the same order as GruCell::StepInto (a
   // gate starts at zero, takes x·W, then h·U), and the mean accumulates like
-  // Concat + SumAxis(0) + Scale, so the readout is bit-identical to the
-  // recorded path in scalar mode and to the one-edge-at-a-time sweep in
+  // GruCell::ForwardSequence's, so the readout is bit-identical to the
+  // training forward in scalar mode and to the one-edge-at-a-time sweep in
   // every mode.
   const int64_t d = hidden_dim_;
   std::vector<float> state(static_cast<size_t>(d), 0.0f);

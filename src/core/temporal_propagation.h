@@ -127,6 +127,13 @@ class TemporalPropagation : public nn::Module {
   }
 
  private:
+  // The SUM updater's Algorithm 1 (Eqs. 3-5) over the whole edge list as
+  // one recorded op: the embedded `x` [n, embed_dim] in, H out. Its reverse
+  // sweep walks the edges backwards once (DESIGN.md §4.2).
+  tensor::Tensor ForwardSum(const tensor::Tensor& x,
+                            const std::vector<graph::TemporalEdge>& edge_order,
+                            double max_time) const;
+
   // Allocation-free propagation used when gradients are disabled: node state
   // is mutated in place through zero-copy row views (tensor/tensor.h),
   // running the compiled per-edge programs (tensor/plan.h) against the

@@ -1,10 +1,14 @@
 #include "nn/gru_cell.h"
 
+#include <array>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "nn/init.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "util/buffer_pool.h"
 #include "util/logging.h"
 
 namespace tpgnn::nn {
@@ -17,6 +21,148 @@ using tensor::MulAdd;
 using tensor::Sigmoid;
 using tensor::Tanh;
 using tensor::Tensor;
+
+namespace {
+
+// out [cols, rows] = a [rows, cols] transposed.
+void TransposeInto(const float* a, int64_t rows, int64_t cols, float* out) {
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) {
+      out[j * rows + i] = a[i * cols + j];
+    }
+  }
+}
+
+// out[j] += sum over rows of a[row][j], a [rows, cols]: the bias gradient.
+void AddColumnSums(const float* a, int64_t rows, int64_t cols, float* out) {
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) {
+      out[j] += a[i * cols + j];
+    }
+  }
+}
+
+// What ForwardSequence saves for its reverse sweep. The buffers come from
+// the tensor buffer pool and go back when the tape drops the closure.
+struct GruSequenceTape {
+  int64_t m = 0;  // Steps.
+  int64_t k = 0;  // Input width.
+  int64_t d = 0;  // Hidden width.
+  bool mean = false;
+  // The op's inputs in order: xs, wz, uz, bz, wr, ur, br, wn, un, bn.
+  std::array<std::shared_ptr<tensor::TensorImpl>, 10> in;
+  // [m + 1, d]: row 0 is the zero initial state, row i + 1 the state after
+  // step i.
+  std::vector<float> h;
+  // [m, d] each, per step: update gate, reset gate, h·Un, candidate.
+  std::vector<float> z, r, hu, n;
+
+  ~GruSequenceTape() {
+    for (std::vector<float>* buffer : {&h, &z, &r, &hu, &n}) {
+      util::ReleaseBuffer(std::move(*buffer));
+    }
+  }
+
+  void Backward(const std::vector<float>& grad_out) const;
+};
+
+void GruSequenceTape::Backward(const std::vector<float>& grad_out) const {
+  const tensor::Kernels& ker = tensor::ActiveKernels();
+  const auto data = [this](int i) {
+    return in[static_cast<size_t>(i)]->data.data();
+  };
+  // Recurrent weights transposed once and stacked, rows [0, d) Uzᵀ,
+  // [d, 2d) Urᵀ, [2d, 3d) Unᵀ, so dL/dh_{i-1} takes one GEMM per step.
+  std::vector<float> ut = util::AcquireBuffer(static_cast<size_t>(3 * d * d));
+  TransposeInto(data(2), d, d, ut.data());
+  TransposeInto(data(5), d, d, ut.data() + d * d);
+  TransposeInto(data(8), d, d, ut.data() + 2 * d * d);
+  // Per-step gradients of the z and r pre-activations, of h·Un and of the
+  // candidate pre-activation (which is also dL/d(x·Wn + bn)).
+  std::vector<float> daz = util::AcquireBuffer(static_cast<size_t>(m * d));
+  std::vector<float> dar = util::AcquireBuffer(static_cast<size_t>(m * d));
+  std::vector<float> dhu = util::AcquireBuffer(static_cast<size_t>(m * d));
+  std::vector<float> dan = util::AcquireBuffer(static_cast<size_t>(m * d));
+  // dL/dh of the state step i wrote, and of the one it read.
+  std::vector<float> dh_buf = util::AcquireBuffer(static_cast<size_t>(2 * d));
+  std::vector<float> g3 = util::AcquireBuffer(static_cast<size_t>(3 * d));
+  float* dh = dh_buf.data();
+  float* dh_prev = dh + d;
+  const float* g = grad_out.data();
+  if (!mean) {
+    std::copy(g, g + d, dh);
+  }
+  const float scale = 1.0f / static_cast<float>(m);
+  for (int64_t i = m - 1; i >= 0; --i) {
+    const float* hp = h.data() + i * d;
+    const float* zi = z.data() + i * d;
+    const float* ri = r.data() + i * d;
+    const float* hui = hu.data() + i * d;
+    const float* ni = n.data() + i * d;
+    float* dazi = daz.data() + i * d;
+    float* dari = dar.data() + i * d;
+    float* dhui = dhu.data() + i * d;
+    float* dani = dan.data() + i * d;
+    float* gz = g3.data();
+    float* gr = gz + d;
+    float* ghu = gr + d;
+    for (int64_t j = 0; j < d; ++j) {
+      if (mean) dh[j] += scale * g[j];  // The readout's share of step i.
+      // h' = z*h + (1 - z)*n.
+      const float dz = (hp[j] - ni[j]) * dh[j];
+      const float dn = (1.0f - zi[j]) * dh[j];
+      dh_prev[j] = zi[j] * dh[j];
+      // n = tanh(r*hu + (x·Wn + bn)); z and r are sigmoids.
+      dani[j] = (1.0f - ni[j] * ni[j]) * dn;
+      ghu[j] = dhui[j] = ri[j] * dani[j];
+      gr[j] = dari[j] = ri[j] * (1.0f - ri[j]) * (hui[j] * dani[j]);
+      gz[j] = dazi[j] = zi[j] * (1.0f - zi[j]) * dz;
+    }
+    ker.gemm_accumulate(g3.data(), ut.data(), dh_prev, 1, 3 * d, d);
+    std::swap(dh, dh_prev);
+  }
+
+  // dX and the parameter gradients, each one GEMM (or column sum) over
+  // every step: dX += dA·Wᵀ per gate, with W transposed once here; W and b
+  // take the rows dA, U takes dL/d(h·U) against the states the steps read
+  // (rows 0..m-1 of h).
+  const auto grad = [this](int i) -> float* {
+    tensor::TensorImpl& impl = *in[static_cast<size_t>(i)];
+    return impl.requires_grad ? tensor::GradBufferFor(impl).data() : nullptr;
+  };
+  float* dx = grad(0);
+  std::vector<float> wt =
+      util::AcquireBuffer(dx != nullptr ? static_cast<size_t>(d * k) : 0);
+  const float* x = data(0);
+  const struct {
+    const float* da;  // Rows of dL/d(x·W + b).
+    const float* du;  // Rows of dL/d(h·U).
+    int w, u, b;      // Input indices.
+  } gates[] = {{daz.data(), daz.data(), 1, 2, 3},
+               {dar.data(), dar.data(), 4, 5, 6},
+               {dan.data(), dhu.data(), 7, 8, 9}};
+  for (const auto& gate : gates) {
+    if (dx != nullptr) {
+      TransposeInto(data(gate.w), k, d, wt.data());
+      ker.gemm_accumulate(gate.da, wt.data(), dx, m, d, k);
+    }
+    if (float* gw = grad(gate.w)) {
+      ker.gemm_accumulate_tn(x, gate.da, gw, m, k, d);
+    }
+    if (float* gu = grad(gate.u)) {
+      ker.gemm_accumulate_tn(h.data(), gate.du, gu, m, d, d);
+    }
+    if (float* gb = grad(gate.b)) {
+      AddColumnSums(gate.da, m, d, gb);
+    }
+  }
+  for (std::vector<float>* buffer :
+       {&ut, &daz, &dar, &dhu, &dan, &dh_buf, &g3, &wt}) {
+    util::ReleaseBuffer(std::move(*buffer));
+  }
+}
+
+}  // namespace
 
 GruCell::GruCell(int64_t input_size, int64_t hidden_size, Rng& rng)
     : input_size_(input_size), hidden_size_(hidden_size) {
@@ -51,6 +197,88 @@ Tensor GruCell::Forward(const Tensor& x, const Tensor& h) const {
   Tensor r = Sigmoid(Affine2(x, wr_, h, ur_, br_));
   Tensor n = Tanh(MulAdd(r, MatMul(h, un_), Affine(x, wn_, bn_)));
   return GruBlend(z, h, n);
+}
+
+Tensor GruCell::ForwardSequence(const Tensor& xs,
+                                SequenceReadout readout) const {
+  TPGNN_CHECK_EQ(xs.dim(), 2);
+  TPGNN_CHECK_EQ(xs.size(1), input_size_);
+  const int64_t m = xs.size(0);
+  TPGNN_CHECK_GT(m, 0);
+  const int64_t k = input_size_;
+  const int64_t d = hidden_size_;
+  const tensor::Kernels& ker = tensor::ActiveKernels();
+  auto tape = std::make_shared<GruSequenceTape>();
+  tape->m = m;
+  tape->k = k;
+  tape->d = d;
+  tape->mean = readout == SequenceReadout::kMeanState;
+  tape->h = util::AcquireBuffer(static_cast<size_t>((m + 1) * d));
+  tape->z = util::AcquireBuffer(static_cast<size_t>(m * d));
+  tape->r = util::AcquireBuffer(static_cast<size_t>(m * d));
+  tape->hu = util::AcquireBuffer(static_cast<size_t>(m * d));
+  tape->n = util::AcquireBuffer(static_cast<size_t>(m * d));
+  std::vector<float> xn = util::AcquireBuffer(static_cast<size_t>(m * d));
+
+  // The input projections of every step at once. Row i of z, r and xn is
+  // x_i·W, the partial sum step i's Affine2/Affine holds after its first
+  // GEMM: the GEMM kernels give a row the same sums whatever the row count.
+  const float* x = xs.data().data();
+  ker.gemm_accumulate(x, wz_.data().data(), tape->z.data(), m, k, d);
+  ker.gemm_accumulate(x, wr_.data().data(), tape->r.data(), m, k, d);
+  ker.gemm_accumulate(x, wn_.data().data(), xn.data(), m, k, d);
+  const float* bz = bz_.data().data();
+  const float* br = br_.data().data();
+  const float* bn = bn_.data().data();
+  std::vector<float> out = util::AcquireBuffer(static_cast<size_t>(d));
+  for (int64_t i = 0; i < m; ++i) {
+    const float* h = tape->h.data() + i * d;
+    float* z = tape->z.data() + i * d;
+    float* r = tape->r.data() + i * d;
+    float* hu = tape->hu.data() + i * d;
+    float* n = tape->n.data() + i * d;
+    const float* xni = xn.data() + i * d;
+    float* next = tape->h.data() + (i + 1) * d;
+    // Forward's expressions: Sigmoid(Affine2(x, W, h, U, b)),
+    // Tanh(MulAdd(r, MatMul(h, Un), Affine(x, Wn, bn))) and GruBlend.
+    ker.gemm_accumulate(h, uz_.data().data(), z, 1, d, d);
+    for (int64_t j = 0; j < d; ++j) {
+      z[j] = 1.0f / (1.0f + std::exp(-(z[j] + bz[j])));
+    }
+    ker.gemm_accumulate(h, ur_.data().data(), r, 1, d, d);
+    for (int64_t j = 0; j < d; ++j) {
+      r[j] = 1.0f / (1.0f + std::exp(-(r[j] + br[j])));
+    }
+    ker.gemm_accumulate(h, un_.data().data(), hu, 1, d, d);
+    for (int64_t j = 0; j < d; ++j) {
+      n[j] = std::tanh(r[j] * hu[j] + (xni[j] + bn[j]));
+      next[j] = z[j] * h[j] + (1.0f - z[j]) * n[j];
+    }
+    if (tape->mean) {
+      // Concat + MeanAxis(0): sum in step order, scale once below.
+      for (int64_t j = 0; j < d; ++j) out[static_cast<size_t>(j)] += next[j];
+    }
+  }
+  util::ReleaseBuffer(std::move(xn));
+  if (tape->mean) {
+    const float scale = 1.0f / static_cast<float>(m);
+    for (float& v : out) v = v * scale;
+  } else {
+    const float* last = tape->h.data() + m * d;
+    std::copy(last, last + d, out.begin());
+  }
+
+  const std::array<Tensor, 10> inputs = {xs,  wz_, uz_, bz_, wr_,
+                                         ur_, br_, wn_, un_, bn_};
+  return tensor::MakeResultImpl(
+      "GruSequence", inputs, {d}, std::move(out), [&]() {
+        for (size_t i = 0; i < inputs.size(); ++i) {
+          tape->in[i] = inputs[i].impl();
+        }
+        return [tape](const std::vector<float>& grad_out) {
+          tape->Backward(grad_out);
+        };
+      });
 }
 
 void GruCell::StepInto(const float* x, const float* h, float* out,

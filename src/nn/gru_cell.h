@@ -9,6 +9,13 @@
 
 namespace tpgnn::nn {
 
+// Readout of GruCell::ForwardSequence: the state after the last step, or the
+// mean of the states after every step.
+enum class SequenceReadout {
+  kLastState,
+  kMeanState,
+};
+
 // Reusable scratch for GruCell::StepInto; holding one per propagation loop
 // keeps the per-edge inference step allocation-free after the first edge.
 struct GruScratch {
@@ -29,6 +36,16 @@ class GruCell : public Module {
   // x: [batch, input_size], h: [batch, hidden_size] -> [batch, hidden_size].
   tensor::Tensor Forward(const tensor::Tensor& x,
                          const tensor::Tensor& h) const;
+
+  // Runs the cell over the rows of `xs` ([m, input_size], m >= 1) from a
+  // zero initial state and returns the `readout` of the states
+  // ([hidden_size]), as one recorded op. The forward computes the values of
+  // m chained Forward calls bit for bit (GEMMs on the active kernel table,
+  // which is bitwise on every ISA; libm sigmoid/tanh) and saves each step's
+  // gates, h·Un, candidate and state for a hand-written reverse sweep
+  // (DESIGN.md §4.2).
+  tensor::Tensor ForwardSequence(const tensor::Tensor& xs,
+                                 SequenceReadout readout) const;
 
   // Raw single-row step: x [input_size], h [hidden_size], out
   // [hidden_size]. Runs the same GEMM kernels and elementwise formulas as

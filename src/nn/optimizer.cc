@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "util/logging.h"
 
 namespace tpgnn::nn {
@@ -51,19 +52,15 @@ void Adam::Step() {
   ++t_;
   const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  // A bitwise-class kernel: the update is the same on every ISA.
+  const tensor::Kernels& kernels = tensor::ActiveKernels();
   for (size_t pi = 0; pi < params_.size(); ++pi) {
     tensor::Tensor& p = params_[pi];
     const std::vector<float>& g = p.grad();
     std::vector<float>& data = p.MutableData();
-    std::vector<float>& m = m_[pi];
-    std::vector<float>& v = v_[pi];
-    for (size_t i = 0; i < data.size(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
-      const float m_hat = m[i] / bias1;
-      const float v_hat = v[i] / bias2;
-      data[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
+    kernels.adam_update(data.data(), m_[pi].data(), v_[pi].data(), g.data(),
+                        static_cast<int64_t>(data.size()), lr_, beta1_,
+                        beta2_, eps_, bias1, bias2);
   }
 }
 

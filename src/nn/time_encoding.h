@@ -41,8 +41,8 @@ class Time2Vec : public Module {
   // phase lives inside the accumulated phasors).
   void EvalRotationInto(float delta, float* cos_out, float* sin_out) const;
 
-  // Parameter views for the recorded (autograd) invariant-basis path; the
-  // recorded fold must consume the same parameters the raw kernels read.
+  // Parameter views for the training fold (TemporalPropagation::ForwardSum),
+  // which must consume the same parameters the raw kernels read.
   const tensor::Tensor& w0() const { return w0_; }
   const tensor::Tensor& phi0() const { return phi0_; }
   const tensor::Tensor& w() const { return w_; }

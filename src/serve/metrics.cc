@@ -42,10 +42,13 @@ std::string JsonDouble(double v) {
   return std::string(buf, end);
 }
 
-// Targeted extraction over the emitter's JSON shape. `FindNumber` locates
-// a quoted key inside [from, json.size()) and parses the value right after
-// its ':'; it tolerates unknown keys (skipped by not being asked for) but
-// not a missing requested one.
+// Targeted extraction over the emitter's JSON shape. Every lookup is bound
+// to the object that holds it: `FindObject` locates `"key":` followed by an
+// object that closes before `limit`, and `FindNumber` parses the value of a
+// quoted key inside one such object. A key missing from its object is
+// missing, even when a later object (the next histogram, the router's
+// spliced "cluster" block) has one. Unknown keys are tolerated (skipped by
+// not being asked for).
 //
 // ParseNumber reads one number at `*pos` (after optional spaces) that must
 // run up to a ',', '}', ']' or space. An unsigned T takes only exact
@@ -72,30 +75,68 @@ bool ParseNumber(const std::string& json, size_t* pos, T* value) {
   return true;
 }
 
-template <typename T>
-bool FindNumber(const std::string& json, const std::string& key, size_t from,
-                T* value) {
+// An object's extent in the payload: `open` is its '{', `close` the
+// matching '}'.
+struct ObjectSpan {
+  size_t open = 0;
+  size_t close = 0;
+};
+
+// The first `"key": {...}` at or after `from` whose object closes before
+// `limit`.
+bool FindObject(const std::string& json, const std::string& key, size_t from,
+                size_t limit, ObjectSpan* span) {
   const std::string needle = "\"" + key + "\":";
   const size_t at = json.find(needle, from);
+  if (at == std::string::npos || at + needle.size() >= limit) {
+    return false;
+  }
+  const size_t open = json.find_first_not_of(" \t\n\r", at + needle.size());
+  if (open >= limit || json[open] != '{') {
+    return false;
+  }
+  int depth = 0;
+  for (size_t i = open; i < limit; ++i) {
+    if (json[i] == '{') {
+      ++depth;
+    } else if (json[i] == '}' && --depth == 0) {
+      span->open = open;
+      span->close = i;
+      return true;
+    }
+  }
+  return false;
+}
+
+template <typename T>
+bool FindNumber(const std::string& json, const std::string& key,
+                const ObjectSpan& object, T* value) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle, object.open);
   size_t pos = at + needle.size();
-  return at != std::string::npos && ParseNumber(json, &pos, value);
+  // The number ends at a delimiter, at the latest the object's '}'.
+  return at != std::string::npos && pos < object.close &&
+         ParseNumber(json, &pos, value);
 }
 
 bool ParseHistogram(const std::string& json, const std::string& name,
-                    size_t from, LatencyHistogram::Snapshot* h) {
-  const size_t at = json.find("\"" + name + "\":", from);
-  if (at == std::string::npos || !FindNumber(json, "count", at, &h->count) ||
-      !FindNumber(json, "sum", at, &h->sum_micros)) {
+                    const ObjectSpan& latency,
+                    LatencyHistogram::Snapshot* h) {
+  ObjectSpan object;
+  if (!FindObject(json, name, latency.open, latency.close, &object) ||
+      !FindNumber(json, "count", object, &h->count) ||
+      !FindNumber(json, "sum", object, &h->sum_micros)) {
     return false;
   }
-  size_t pos = json.find('[', json.find("\"buckets\":", at));
+  const size_t key = json.find("\"buckets\":", object.open);
+  size_t pos = key < object.close ? json.find('[', key) : std::string::npos;
   for (uint64_t& bucket : h->buckets) {
     // Step over the '[' or ',' before each count.
-    if (pos == std::string::npos || !ParseNumber(json, &++pos, &bucket)) {
+    if (pos >= object.close || !ParseNumber(json, &++pos, &bucket)) {
       return false;
     }
   }
-  return pos < json.size() && json[pos] == ']';
+  return pos < object.close && json[pos] == ']';
 }
 
 }  // namespace
@@ -224,24 +265,27 @@ void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
 
 Status ParseMetricsJson(const std::string& json, MetricsSnapshot* snap) {
   *snap = MetricsSnapshot();
-  const size_t counters_at = json.find("\"counters\":");
-  const size_t latency_at = json.find("\"latency_us\":");
-  if (counters_at == std::string::npos || latency_at == std::string::npos) {
+  ObjectSpan counters;
+  ObjectSpan latency;
+  if (!FindObject(json, "counters", 0, json.size(), &counters) ||
+      !FindObject(json, "latency_us", 0, json.size(), &latency)) {
     return Status::DataLoss("metrics JSON missing counters or latency_us");
   }
   for (const CounterField& f : kCounterFields) {
-    if (!FindNumber(json, f.key, counters_at, &(snap->*f.value))) {
+    if (!FindNumber(json, f.key, counters, &(snap->*f.value))) {
       return Status::DataLoss(std::string("metrics JSON bad counter ") + f.key);
     }
   }
-  const size_t shadow_at = json.find("\"shadow\":");
-  if (shadow_at == std::string::npos || shadow_at > latency_at ||
-      !FindNumber(json, "sum_abs_delta", shadow_at, &snap->shadow_delta_sum) ||
-      !FindNumber(json, "max_abs_delta", shadow_at, &snap->shadow_delta_max)) {
+  // The top-level "shadow" block precedes latency_us, which has a "shadow"
+  // histogram of its own.
+  ObjectSpan shadow;
+  if (!FindObject(json, "shadow", 0, latency.open, &shadow) ||
+      !FindNumber(json, "sum_abs_delta", shadow, &snap->shadow_delta_sum) ||
+      !FindNumber(json, "max_abs_delta", shadow, &snap->shadow_delta_max)) {
     return Status::DataLoss("metrics JSON shadow block malformed");
   }
   for (const HistogramField& f : kHistogramFields) {
-    if (!ParseHistogram(json, f.key, latency_at, &(snap->*f.value))) {
+    if (!ParseHistogram(json, f.key, latency, &(snap->*f.value))) {
       return Status::DataLoss(std::string("metrics JSON bad histogram ") +
                               f.key);
     }

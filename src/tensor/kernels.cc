@@ -220,6 +220,19 @@ void RotationScalar(float* cos_out, float* sin_out, float delta,
   }
 }
 
+// nn::Adam's update loop, verbatim.
+void AdamUpdateScalar(float* p, float* m, float* v, const float* g, int64_t n,
+                      float lr, float beta1, float beta2, float eps,
+                      float bias1, float bias2) {
+  for (int64_t i = 0; i < n; ++i) {
+    m[i] = beta1 * m[i] + (1.0f - beta1) * g[i];
+    v[i] = beta2 * v[i] + (1.0f - beta2) * g[i] * g[i];
+    const float m_hat = m[i] / bias1;
+    const float v_hat = v[i] / bias2;
+    p[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+  }
+}
+
 const Kernels kScalarTable = {
     GemmAccumulateScalar,
     GemmAccumulateNTScalar,
@@ -237,6 +250,7 @@ const Kernels kScalarTable = {
     Time2VecScalar,
     PhasorScalar,
     RotationScalar,
+    AdamUpdateScalar,
     "scalar",
 };
 

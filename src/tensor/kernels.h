@@ -10,21 +10,22 @@
 // the reference semantics; ISA tables must honour the parity policy below.
 //
 // Parity policy (tested by tests/tensor/kernels_test.cc):
-//  * Bitwise class — GEMM, copies, adds, blends, rotations, and every
-//    time-encoding kernel: each ISA implementation must produce bit-identical
-//    results to the scalar table for all shapes. This is achievable because
-//    these kernels only vectorize across independent output elements with the
-//    same per-element association and no FMA contraction; reductions that
-//    cannot keep the scalar summation order (gemm_accumulate_nt's inner dot
-//    products) stay scalar on every ISA.
+//  * Bitwise class — GEMM, copies, adds, blends, rotations, every
+//    time-encoding kernel, and the Adam update: each ISA implementation must
+//    produce bit-identical results to the scalar table for all shapes. This
+//    is achievable because these kernels only vectorize across independent
+//    output elements with the same per-element association and no FMA
+//    contraction; reductions that cannot keep the scalar summation order
+//    (gemm_accumulate_nt's inner dot products) stay scalar on every ISA.
 //  * ulp class (the named tolerance mode, "kernel-ulp") — the saturating
 //    transcendental maps tanh_inplace / tanh_add / sigmoid_bias /
 //    gru_candidate: ISA implementations may evaluate tanh/sigmoid with a
 //    vector exp polynomial instead of libm, and must stay within
 //    kTranscendentalUlpBound ULPs of the scalar kernel per element. Only
-//    inference paths run these through the active table; the recorded
-//    (autograd) ops in tensor/ops.cc keep libm so training numerics and
-//    checkpoints are ISA-independent.
+//    inference paths run these through the active table. Training — the
+//    recorded ops in tensor/ops.cc, the fused recurrence ops and the
+//    optimizer — calls only bitwise-class entries and libm, so losses,
+//    parameters and checkpoints are ISA-independent.
 
 namespace tpgnn::tensor {
 
@@ -80,6 +81,15 @@ struct Kernels {
   // cos_out[j] = cos(w[j]*delta), sin_out[j] = sin(w[j]*delta).
   void (*rotation)(float* cos_out, float* sin_out, float delta,
                    const float* w, int64_t n);
+
+  // --- Optimizer (bitwise) -------------------------------------------------
+  // One Adam step over n parameters (nn::Adam), per element:
+  //   m = beta1*m + (1 - beta1)*g;  v = beta2*v + (1 - beta2)*g*g;
+  //   p -= lr * (m / bias1) / (sqrt(v / bias2) + eps).
+  // Correctly rounded div and sqrt, no FMA, this association on every ISA.
+  void (*adam_update)(float* p, float* m, float* v, const float* g, int64_t n,
+                      float lr, float beta1, float beta2, float eps,
+                      float bias1, float bias2);
 
   const char* name;  // "scalar", "avx2", "neon".
 };

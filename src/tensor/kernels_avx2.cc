@@ -554,6 +554,50 @@ void RotationAvx2(float* cos_out, float* sin_out, float delta, const float* w,
   }
 }
 
+// --- Optimizer (bitwise class) ----------------------------------------------
+// Eight parameters per step through the scalar loop's expressions: IEEE
+// mul/add/div/sqrt in the same association, no FMA.
+
+void AdamUpdateAvx2(float* p, float* m, float* v, const float* g, int64_t n,
+                    float lr, float beta1, float beta2, float eps, float bias1,
+                    float bias2) {
+  const __m256 vb1 = _mm256_set1_ps(beta1);
+  const __m256 vb2 = _mm256_set1_ps(beta2);
+  const __m256 vc1 = _mm256_set1_ps(1.0f - beta1);
+  const __m256 vc2 = _mm256_set1_ps(1.0f - beta2);
+  const __m256 vbias1 = _mm256_set1_ps(bias1);
+  const __m256 vbias2 = _mm256_set1_ps(bias2);
+  const __m256 vlr = _mm256_set1_ps(lr);
+  const __m256 veps = _mm256_set1_ps(eps);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vg = _mm256_loadu_ps(g + i);
+    const __m256 vm = _mm256_add_ps(_mm256_mul_ps(vb1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(vc1, vg));
+    const __m256 vv =
+        _mm256_add_ps(_mm256_mul_ps(vb2, _mm256_loadu_ps(v + i)),
+                      _mm256_mul_ps(_mm256_mul_ps(vc2, vg), vg));
+    _mm256_storeu_ps(m + i, vm);
+    _mm256_storeu_ps(v + i, vv);
+    const __m256 m_hat = _mm256_div_ps(vm, vbias1);
+    const __m256 v_hat = _mm256_div_ps(vv, vbias2);
+    const __m256 step =
+        _mm256_div_ps(_mm256_mul_ps(vlr, m_hat),
+                      _mm256_add_ps(_mm256_sqrt_ps(v_hat), veps));
+    _mm256_storeu_ps(p + i, _mm256_sub_ps(_mm256_loadu_ps(p + i), step));
+  }
+  for (; i < n; ++i) {
+    m[i] = beta1 * m[i] + (1.0f - beta1) * g[i];
+    v[i] = beta2 * v[i] + (1.0f - beta2) * g[i] * g[i];
+    const float m_hat = m[i] / bias1;
+    const float v_hat = v[i] / bias2;
+    p[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+  }
+  // Clean upper YMM halves for the legacy-SSE libm calls that follow in
+  // training; see GemmAccumulateAvx2.
+  _mm256_zeroupper();
+}
+
 const Kernels kAvx2Table = {
     GemmAccumulateAvx2,
     GemmAccumulateNTAvx2,
@@ -571,6 +615,7 @@ const Kernels kAvx2Table = {
     Time2VecAvx2,
     PhasorAvx2,
     RotationAvx2,
+    AdamUpdateAvx2,
     "avx2",
 };
 

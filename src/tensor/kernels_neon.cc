@@ -183,7 +183,8 @@ void RotatePairsNeon(float* out, const float* a, const float* b,
 }
 
 const Kernels MakeNeonTable() {
-  Kernels t = ScalarKernels();  // Transcendentals + time encoding stay libm.
+  // Transcendentals, time encoding and the Adam update stay scalar.
+  Kernels t = ScalarKernels();
   t.gemm_accumulate = GemmAccumulateNeon;
   t.gemm_accumulate_nt = GemmAccumulateNTNeon;
   t.gemm_accumulate_tn = GemmAccumulateTNNeon;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
-#include <type_traits>
 #include <utility>
 
 #include "tensor/gemm.h"
@@ -27,44 +26,6 @@ std::vector<float> OutBuffer(int64_t n) {
 std::vector<float> PooledCopy(const std::vector<float>& src) {
   std::vector<float> out = util::AcquireBuffer(src.size());
   std::copy(src.begin(), src.end(), out.begin());
-  return out;
-}
-
-// Creates the op result and, when needed, attaches the autograd node built by
-// `make_backward` (only invoked if some input requires grad and gradients are
-// enabled, so no closure is allocated on inference paths). `make_backward`
-// may optionally take the output impl so the closure can read the saved
-// forward activations instead of recomputing them; the raw pointer is safe
-// because the output impl owns the node that owns the closure. Nodes come
-// from the thread's recycle list (AcquireAutogradNode), and `inputs` is
-// templated so brace-enclosed call sites pass a stack-backed
-// initializer_list instead of heap-allocating a std::vector per op.
-template <typename Inputs, typename MakeBackward>
-Tensor MakeResultImpl(const char* name, const Inputs& inputs,
-                      const Shape& shape, std::vector<float> data,
-                      MakeBackward&& make_backward) {
-  bool requires_grad = false;
-  if (GradEnabled()) {
-    for (const Tensor& t : inputs) {
-      requires_grad = requires_grad || t.requires_grad();
-    }
-  }
-  Tensor out = Tensor::FromVector(shape, std::move(data), false);
-  if (requires_grad) {
-    out.impl()->requires_grad = true;
-    std::shared_ptr<AutogradNode> node = AcquireAutogradNode();
-    node->op_name = name;
-    node->inputs.reserve(inputs.size());
-    for (const Tensor& t : inputs) {
-      node->inputs.push_back(t.impl());
-    }
-    if constexpr (std::is_invocable_v<MakeBackward&, TensorImpl*>) {
-      node->backward = make_backward(out.impl().get());
-    } else {
-      node->backward = make_backward();
-    }
-    out.impl()->grad_fn = std::move(node);
-  }
   return out;
 }
 

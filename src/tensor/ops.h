@@ -2,6 +2,9 @@
 #define TPGNN_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -119,6 +122,50 @@ int64_t Argmax(const Tensor& a);
 // True when |a - b| <= atol + rtol * |b| elementwise (shapes must match).
 bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
               float rtol = 1e-4f);
+
+// --- Defining an op ---------------------------------------------------------
+// Creates the op result and, when needed, attaches the autograd node built by
+// `make_backward` (only invoked if some input requires grad and gradients are
+// enabled, so no closure is allocated on inference paths). `make_backward`
+// may optionally take the output impl so the closure can read the saved
+// forward activations instead of recomputing them; the raw pointer is safe
+// because the output impl owns the node that owns the closure. Nodes come
+// from the thread's recycle list (AcquireAutogradNode), and `inputs` is
+// templated so brace-enclosed call sites pass a stack-backed
+// initializer_list instead of heap-allocating a std::vector per op.
+//
+// Every op above is built on it, and so are the whole-recurrence ops outside
+// tensor/ (core::TemporalPropagation's SUM fold,
+// nn::GruCell::ForwardSequence). A closure must write input gradients
+// through GradBufferFor, and only into inputs with requires_grad set.
+template <typename Inputs, typename MakeBackward>
+Tensor MakeResultImpl(const char* name, const Inputs& inputs,
+                      const Shape& shape, std::vector<float> data,
+                      MakeBackward&& make_backward) {
+  bool requires_grad = false;
+  if (GradEnabled()) {
+    for (const Tensor& t : inputs) {
+      requires_grad = requires_grad || t.requires_grad();
+    }
+  }
+  Tensor out = Tensor::FromVector(shape, std::move(data), false);
+  if (requires_grad) {
+    out.impl()->requires_grad = true;
+    std::shared_ptr<AutogradNode> node = AcquireAutogradNode();
+    node->op_name = name;
+    node->inputs.reserve(inputs.size());
+    for (const Tensor& t : inputs) {
+      node->inputs.push_back(t.impl());
+    }
+    if constexpr (std::is_invocable_v<MakeBackward&, TensorImpl*>) {
+      node->backward = make_backward(out.impl().get());
+    } else {
+      node->backward = make_backward();
+    }
+    out.impl()->grad_fn = std::move(node);
+  }
+  return out;
+}
 
 }  // namespace tpgnn::tensor
 

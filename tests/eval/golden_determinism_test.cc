@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,6 +114,53 @@ TEST(GoldenDeterminismTest, BackToBackRunsAreBitIdentical) {
   }
   EXPECT_EQ(a.auc, b.auc);
   EXPECT_EQ(a.accuracy, b.accuracy);
+}
+
+// Training is ISA-independent: its ops call only bitwise-class kernels and
+// libm (tensor/kernels.h), so the golden run under the AVX2 table ends with
+// the same losses and the same parameters, bit for bit, as under the scalar
+// table. A training op that reached an ulp-class map would break this.
+TEST(GoldenDeterminismTest, TrainingIsBitIdenticalAcrossSimdModes) {
+  struct Trained {
+    std::vector<double> losses;
+    std::vector<std::vector<float>> params;
+  };
+  auto train = [](tensor::SimdMode mode) {
+    tensor::ScopedSimdMode pin(mode);
+    auto dataset = data::MakeDataset(data::HdfsSpec(), 40, /*seed=*/21);
+    auto split = data::SplitDataset(dataset, 0.5);
+    core::TpGnnModel model(SmallestConfig(), /*seed=*/1);
+    TrainOptions options;
+    options.epochs = 3;
+    options.learning_rate = 5e-3f;
+    options.seed = 1;
+    Trained out;
+    out.losses = TrainClassifier(model, split.train, options).epoch_losses;
+    for (const tensor::Tensor& p : model.Parameters()) {
+      out.params.push_back(p.data());
+    }
+    return out;
+  };
+  const Trained scalar = train(tensor::SimdMode::kScalar);
+  if (!tensor::SimdModeSupported(tensor::SimdMode::kAvx2)) {
+    GTEST_SKIP() << "no AVX2 on this build or CPU";
+  }
+  const Trained avx2 = train(tensor::SimdMode::kAvx2);
+  ASSERT_EQ(scalar.losses.size(), avx2.losses.size());
+  for (size_t e = 0; e < scalar.losses.size(); ++e) {
+    EXPECT_EQ(std::memcmp(&scalar.losses[e], &avx2.losses[e], sizeof(double)),
+              0)
+        << "epoch " << e << ": " << scalar.losses[e] << " vs "
+        << avx2.losses[e];
+  }
+  ASSERT_EQ(scalar.params.size(), avx2.params.size());
+  for (size_t i = 0; i < scalar.params.size(); ++i) {
+    ASSERT_EQ(scalar.params[i].size(), avx2.params[i].size());
+    EXPECT_EQ(std::memcmp(scalar.params[i].data(), avx2.params[i].data(),
+                          scalar.params[i].size() * sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
 }
 
 }  // namespace

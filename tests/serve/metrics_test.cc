@@ -233,6 +233,35 @@ TEST(MetricsJsonTest, ParseFailsTypedOnStructuralDamage) {
             StatusCode::kDataLoss);
 }
 
+// Every key is read from its own object. A histogram without "sum" must not
+// borrow the next histogram's, and a counter missing from "counters" must
+// not be read from a later block that has the same key, such as the
+// router's spliced "cluster" block.
+TEST(MetricsJsonTest, KeyMissingFromItsObjectIsNotReadFromALaterOne) {
+  const std::string good = DistinctSnapshot(9).ToJson();
+  MetricsSnapshot scratch;
+  ASSERT_TRUE(ParseMetricsJson(good, &scratch).ok());
+
+  std::string no_sum = good;
+  const size_t ingest = no_sum.find("\"ingest\": {");
+  ASSERT_NE(ingest, std::string::npos);
+  const size_t sum = no_sum.find("\"sum\": ", ingest);
+  ASSERT_LT(sum, no_sum.find("\"score\": {"));
+  no_sum.erase(sum, no_sum.find(", ", sum) + 2 - sum);
+  EXPECT_EQ(ParseMetricsJson(no_sum, &scratch).code(), StatusCode::kDataLoss);
+
+  std::string no_counter = good;
+  const size_t failed = no_counter.find("\"scores_failed\": ");
+  ASSERT_NE(failed, std::string::npos);
+  no_counter.erase(failed, no_counter.find(", ", failed) + 2 - failed);
+  ASSERT_EQ(no_counter.back(), '}');
+  no_counter.insert(
+      no_counter.size() - 1,
+      ", \"cluster\": {\"backends_up\": 2, \"scores_failed\": 7}");
+  EXPECT_EQ(ParseMetricsJson(no_counter, &scratch).code(),
+            StatusCode::kDataLoss);
+}
+
 TEST(MetricsJsonTest, MergeFromSumsCountersAndHistograms) {
   const MetricsSnapshot a = DistinctSnapshot(100);
   const MetricsSnapshot b = DistinctSnapshot(1000);

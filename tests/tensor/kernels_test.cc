@@ -1,6 +1,6 @@
 // Parity contracts of the runtime-dispatched kernel layer (tensor/kernels.h):
 //  * Bitwise class — GEMM (all three transpose variants), the linear
-//    elementwise kernels, and the time-encoding kernels must be
+//    elementwise kernels, the time-encoding kernels and the Adam update must be
 //    bit-identical between the scalar table and every supported ISA table,
 //    across edge shapes: n/k/m of 0, 1, odd tails below the vector width,
 //    and multiples straddling the blocked-GEMM tiles.
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -313,6 +314,60 @@ TEST(KernelsTimeEncodingTest, BitwiseMatchesScalarAcrossEdgeShapesAndTimes) {
 }
 
 // --- ulp-class tolerance ----------------------------------------------------
+
+// --- Adam update bitwise parity ---------------------------------------------
+
+// Three steps of nn::Adam's update (the bias corrections of steps 1-3) with
+// random, zero and denormal gradients, over lengths around the 8-lane width
+// and the default model's 6,989 parameters: parameters and both moments
+// must match the scalar loop bit for bit.
+TEST(KernelsAdamTest, UpdateBitwiseMatchesScalarAcrossLengthsAndGradients) {
+  const int64_t sizes[] = {0, 1, 7, 8, 9, 33, 6989};
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const char* const kinds[] = {"random", "zero", "denormal"};
+  for (const Kernels* isa : SupportedIsaTables()) {
+    for (int64_t n : sizes) {
+      for (int kind = 0; kind < 3; ++kind) {
+        const std::string tag = std::string(isa->name) + " n=" +
+                                std::to_string(n) + " " + kinds[kind];
+        std::vector<float> g = RandomVec(n, 61, -0.5f, 0.5f);
+        std::vector<float> m = RandomVec(n, 62, -0.1f, 0.1f);
+        std::vector<float> v = RandomVec(n, 63, 0.0f, 0.01f);
+        if (kind == 1) {
+          // A fresh optimizer seeing a zero gradient: 0 / (0 + eps).
+          std::fill(g.begin(), g.end(), 0.0f);
+          std::fill(m.begin(), m.end(), 0.0f);
+          std::fill(v.begin(), v.end(), 0.0f);
+        } else if (kind == 2) {
+          for (size_t i = 0; i < g.size(); ++i) {
+            g[i] = (i % 2 == 0 ? 1.0f : -1.0f) * denormal *
+                   static_cast<float>(1 + i % 1000);
+          }
+        }
+        std::vector<float> p_scalar = RandomVec(n, 64);
+        std::vector<float> p_isa = p_scalar;
+        std::vector<float> m_scalar = m;
+        std::vector<float> m_isa = m;
+        std::vector<float> v_scalar = v;
+        std::vector<float> v_isa = v;
+        for (int step = 1; step <= 3; ++step) {
+          const float bias1 = 1.0f - std::pow(0.9f, static_cast<float>(step));
+          const float bias2 =
+              1.0f - std::pow(0.999f, static_cast<float>(step));
+          ScalarKernels().adam_update(p_scalar.data(), m_scalar.data(),
+                                      v_scalar.data(), g.data(), n, 1e-3f,
+                                      0.9f, 0.999f, 1e-8f, bias1, bias2);
+          isa->adam_update(p_isa.data(), m_isa.data(), v_isa.data(),
+                           g.data(), n, 1e-3f, 0.9f, 0.999f, 1e-8f, bias1,
+                           bias2);
+        }
+        ExpectSameBits(p_scalar, p_isa, tag + " param");
+        ExpectSameBits(m_scalar, m_isa, tag + " first moment");
+        ExpectSameBits(v_scalar, v_isa, tag + " second moment");
+      }
+    }
+  }
+}
 
 TEST(KernelsTranscendentalTest, UlpClassWithinBoundAcrossEdgeShapes) {
   // Beyond the edge shapes: every masked-tail length alone (1..7), one
