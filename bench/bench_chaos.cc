@@ -5,8 +5,9 @@
 // it usable as a CI gate and under sanitizers:
 //
 //   * every score request produces exactly one result;
-//   * every OK result is bit-identical to the fault-free in-process
-//     reference for its (session, prefix);
+//   * every OK result passes serve::ParityOracle, checked after the
+//     failpoints are disarmed: bit-identical to the fault-free offline
+//     forward over its session's arrival prefix;
 //   * every failed result carries the injected-fault marker;
 //   * serve::Metrics error counters equal the injected fire counts exactly
 //     (queues run uncapped so no genuine backpressure can contaminate the
@@ -41,6 +42,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/inference_engine.h"
+#include "serve/parity_oracle.h"
 #include "serve/replay.h"
 #include "util/failpoint.h"
 #include "util/flags.h"
@@ -87,14 +89,6 @@ constexpr uint64_t kFoldedComponents = 2;
 
 constexpr uint64_t kModelSeed = 5;
 
-struct PrefixScore {
-  float logit = 0.0f;
-  float probability = 0.0f;
-};
-
-// (session_id, edges ingested at scoring time) -> fault-free score.
-using PrefixTable = std::map<std::pair<uint64_t, int64_t>, PrefixScore>;
-
 // (session_id, edges ingested) -> max edge timestamp over that prefix.
 // Drives the state_rescales simulation: a successful score rescales exactly
 // when the previous successful score of its session finalized a nonempty
@@ -120,58 +114,6 @@ PrefixMaxTable BuildPrefixMax(const std::vector<serve::Event>& events) {
   return table;
 }
 
-// Fault-free ground truth, built through the in-process engine with no
-// failpoints armed: score every session after every edge so any networked
-// prefix has a reference.
-bool BuildPrefixTable(const std::vector<serve::Event>& events,
-                      PrefixTable* table) {
-  if (failpoint::ActiveCount() != 0) {
-    std::fprintf(stderr, "reference table must be built fault-free\n");
-    return false;
-  }
-  serve::InferenceEngine engine(SmallConfig(), kModelSeed, {});
-  std::map<uint64_t, int64_t> edges_seen;
-  std::vector<serve::ScoreResult> results;
-
-  auto score_now = [&](uint64_t session_id) {
-    serve::Event score;
-    score.kind = serve::Event::Kind::kScore;
-    score.session_id = session_id;
-    results.clear();
-    if (!engine.Ingest(score).ok()) {
-      return false;
-    }
-    engine.Flush(&results);
-    if (results.size() != 1 || !results[0].status.ok()) {
-      return false;
-    }
-    (*table)[{session_id, edges_seen[session_id]}] = {results[0].logit,
-                                                      results[0].probability};
-    return true;
-  };
-
-  for (const serve::Event& event : events) {
-    switch (event.kind) {
-      case serve::Event::Kind::kBegin:
-      case serve::Event::Kind::kEdge:
-        if (!engine.Ingest(event).ok()) {
-          return false;
-        }
-        if (event.kind == serve::Event::Kind::kEdge) {
-          ++edges_seen[event.session_id];
-        }
-        if (!score_now(event.session_id)) {
-          return false;
-        }
-        break;
-      case serve::Event::Kind::kScore:
-      case serve::Event::Kind::kEnd:
-        break;
-    }
-  }
-  return true;
-}
-
 struct SeedOutcome {
   uint64_t seed = 0;
   uint64_t total_fires = 0;
@@ -185,7 +127,8 @@ struct SeedOutcome {
 // violations; an empty list means the run passed.
 SeedOutcome RunChaosSeed(uint64_t seed, const std::string& faults,
                          const std::vector<serve::Event>& events,
-                         size_t num_score_requests, const PrefixTable& table,
+                         size_t num_score_requests,
+                         serve::ParityOracle& oracle,
                          const PrefixMaxTable& prefix_max) {
   SeedOutcome outcome;
   outcome.seed = seed;
@@ -247,16 +190,8 @@ SeedOutcome RunChaosSeed(uint64_t seed, const std::string& faults,
       continue;
     }
     ++outcome.scores_ok;
-    const auto it = table.find({result.session_id, result.edges_scored});
-    if (it == table.end()) {
-      violation("score for unknown prefix: session " +
-                std::to_string(result.session_id) + " edges " +
-                std::to_string(result.edges_scored));
-    } else if (it->second.logit != result.logit ||
-               it->second.probability != result.probability) {
-      violation("score diverges from fault-free reference: session " +
-                std::to_string(result.session_id) + " edges " +
-                std::to_string(result.edges_scored));
+    if (const tpgnn::Status s = oracle.Check(result); !s.ok()) {
+      violation(s.ToString());
     }
   }
   if (results.size() != num_score_requests) {
@@ -318,7 +253,7 @@ SeedOutcome RunChaosSeed(uint64_t seed, const std::string& faults,
     for (const int64_t edges : prefixes) {
       const auto it = prefix_max.find({session_id, edges});
       if (it == prefix_max.end()) {
-        continue;  // Unknown prefix: already reported against the table.
+        continue;  // Unknown prefix: already reported by the oracle.
       }
       if (finalized_edges > 0 && finalized_max != it->second) {
         ++expected_rescales;
@@ -360,11 +295,8 @@ int main(int argc, char** argv) {
   serve::EventReplayer replayer(dataset, replay_options);
 
   failpoint::ClearAll();
-  PrefixTable table;
-  if (!BuildPrefixTable(replayer.events(), &table)) {
-    std::fprintf(stderr, "failed to build fault-free reference\n");
-    return 1;
-  }
+  serve::ParityOracle oracle(SmallConfig(), kModelSeed);
+  oracle.Record(replayer.events());
   const PrefixMaxTable prefix_max = BuildPrefixMax(replayer.events());
   std::printf("chaos: %zu sessions, %zu events, %zu score requests, "
               "faults=%s\n",
@@ -376,7 +308,7 @@ int main(int argc, char** argv) {
   for (int64_t i = 0; i < num_seeds; ++i) {
     SeedOutcome outcome =
         RunChaosSeed(first_seed + static_cast<uint64_t>(i), faults,
-                     replayer.events(), replayer.num_score_requests(), table,
+                     replayer.events(), replayer.num_score_requests(), oracle,
                      prefix_max);
     std::printf("  seed %llu: %llu fires, %llu ok / %llu failed scores, "
                 "%.3fs — %s\n",

@@ -9,9 +9,10 @@
 //   * exactly-once — every score request the router acked as applied
 //     resolves exactly once (a result or a typed failure), even across a
 //     backend SIGKILL and rejoin;
-//   * bitwise parity — every successful score equals the single-process
-//     engine's score at the same (session, arrival-prefix) bit for bit,
-//     no matter which backend served it or how often the session moved;
+//   * bitwise parity — every successful score passes serve::ParityOracle:
+//     it equals the offline forward over its session's arrival prefix bit
+//     for bit, no matter which backend served it or how often the session
+//     moved;
 //   * with --kill_backend=1, the router must actually observe the
 //     failover (backend_failovers >= 1) and recover the rejoined backend.
 //
@@ -31,7 +32,6 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -47,6 +47,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/inference_engine.h"
+#include "serve/parity_oracle.h"
 #include "serve/replay.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
@@ -61,8 +62,8 @@ using tpgnn::FlagValue;
 
 namespace {
 
-// Every engine in the bench — backends, restarts, and the single-process
-// reference — serves this model, the precondition for bitwise parity.
+// Every engine in the bench — backends and restarts — and the parity
+// oracle use this model, the precondition for bitwise parity.
 constexpr uint64_t kModelSeed = 5;
 
 core::TpGnnConfig BenchConfig() {
@@ -125,58 +126,6 @@ class Backend {
   std::thread thread_;
 };
 
-// (session_id, edges_scored) -> logit; scoring is a pure function of the
-// session's arrival prefix, so this table is the parity oracle for every
-// cluster size and every chaos run.
-using ScoreTable = std::map<std::pair<uint64_t, int64_t>, float>;
-
-// The engine scores asynchronously (micro-batching), so a replayed score
-// may legitimately see MORE edges than had arrived when it was enqueued.
-// The oracle therefore scores after EVERY Begin/Edge prefix — whatever
-// prefix the cluster's pump lands on, the table has its bits.
-ScoreTable BuildReference(const std::vector<serve::Event>& events) {
-  serve::InferenceEngine engine(BenchConfig(), kModelSeed, {});
-  ScoreTable table;
-  std::vector<serve::ScoreResult> results;
-  std::map<uint64_t, int64_t> edges_seen;
-
-  auto score_now = [&](uint64_t session_id) {
-    serve::Event score;
-    score.kind = serve::Event::Kind::kScore;
-    score.session_id = session_id;
-    results.clear();
-    if (tpgnn::Status s = engine.Ingest(score); !s.ok()) {
-      std::fprintf(stderr, "reference score failed: %s\n",
-                   s.ToString().c_str());
-      std::exit(1);
-    }
-    engine.Flush(&results);
-    if (results.size() != 1 || !results[0].status.ok()) {
-      std::fprintf(stderr, "reference score did not resolve cleanly\n");
-      std::exit(1);
-    }
-    table[{session_id, edges_seen[session_id]}] = results[0].logit;
-  };
-
-  for (const serve::Event& event : events) {
-    if (event.kind != serve::Event::Kind::kBegin &&
-        event.kind != serve::Event::Kind::kEdge) {
-      continue;  // Scores are replaced by the every-prefix sweep; no Ends,
-                 // so late async scores still find a live session here.
-    }
-    if (tpgnn::Status s = engine.Ingest(event); !s.ok()) {
-      std::fprintf(stderr, "reference ingest failed: %s\n",
-                   s.ToString().c_str());
-      std::exit(1);
-    }
-    if (event.kind == serve::Event::Kind::kEdge) {
-      ++edges_seen[event.session_id];
-    }
-    score_now(event.session_id);
-  }
-  return table;
-}
-
 struct SharedStats {
   std::atomic<uint64_t> events_sent{0};
   std::atomic<uint64_t> scores_sent{0};  // Scores in ACKED prefixes.
@@ -185,7 +134,7 @@ struct SharedStats {
   std::atomic<uint64_t> overloads{0};
   std::atomic<uint64_t> errors{0};
   std::mutex mu;
-  ScoreTable scores;  // Guarded by mu.
+  std::vector<serve::ScoreResult> scored;  // Successful results; guarded by mu.
 };
 
 size_t CountScores(const std::vector<serve::Event>& events, size_t limit) {
@@ -216,7 +165,7 @@ void RunConnection(const net::ClientOptions& options,
       if (result.status.ok()) {
         stats->scores_ok.fetch_add(1);
         std::lock_guard<std::mutex> lock(stats->mu);
-        stats->scores[{result.session_id, result.edges_scored}] = result.logit;
+        stats->scored.push_back(result);
       } else {
         stats->scores_failed.fetch_add(1);
       }
@@ -293,7 +242,7 @@ struct RunResult {
 // hard-kills the busiest backend mid-run and restarts it on the same port.
 RunResult RunCluster(int num_backends, bool kill,
                      const std::vector<std::vector<serve::Event>>& per_conn,
-                     size_t batch, const ScoreTable& reference) {
+                     size_t batch, serve::ParityOracle& oracle) {
   RunResult out;
   out.backends = num_backends;
   out.killed = kill;
@@ -401,11 +350,13 @@ RunResult RunCluster(int num_backends, bool kill,
   out.overloads = stats.overloads.load();
   out.errors = stats.errors.load();
 
-  // Bitwise parity: every successful score must equal the single-process
-  // reference at its (session, prefix).
-  for (const auto& [key, logit] : stats.scores) {
-    const auto it = reference.find(key);
-    if (it == reference.end() || it->second != logit) {
+  // Bitwise parity: every successful score must pass the oracle. Checked
+  // after the run, so the offline forwards stay out of the measured wall.
+  for (const serve::ScoreResult& result : stats.scored) {
+    if (const tpgnn::Status s = oracle.Check(result); !s.ok()) {
+      if (out.parity_mismatches == 0) {
+        std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      }
       ++out.parity_mismatches;
     }
   }
@@ -436,7 +387,8 @@ int main(int argc, char** argv) {
   replay_options.score_every_edges = score_every;
   serve::EventReplayer replayer(dataset, replay_options);
 
-  const ScoreTable reference = BuildReference(replayer.events());
+  serve::ParityOracle oracle(BenchConfig(), kModelSeed);
+  oracle.Record(replayer.events());
 
   // Session affinity: all events of a session ride one connection.
   std::vector<std::vector<serve::Event>> per_conn(
@@ -456,7 +408,7 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < sizes.size(); ++i) {
     const bool kill = kill_backend && i + 1 == sizes.size() && sizes[i] > 1;
     runs.push_back(RunCluster(sizes[i], kill, per_conn,
-                              static_cast<size_t>(batch), reference));
+                              static_cast<size_t>(batch), oracle));
     const RunResult& r = runs.back();
     std::printf("backends=%d%s  %8.0f events/s  scores %llu ok / %llu "
                 "failed  overloads %llu  failovers %llu\n",

@@ -181,29 +181,6 @@ void BM_PerEdgeTrainMix(benchmark::State& state) {
 }
 BENCHMARK(BM_PerEdgeTrainMix)->Arg(0)->Arg(1);
 
-void BM_GatherScatterForwardBackward(benchmark::State& state) {
-  ScopedPoolEnabled pool(state.range(0) != 0);
-  namespace ops = tpgnn::tensor;
-  Tensor base = RandomMatrix(kNodes, kDim, 13, /*requires_grad=*/true);
-  Tensor updates = RandomMatrix(kNodes, kDim, 14, /*requires_grad=*/true);
-  std::vector<int64_t> idx(kNodes);
-  for (int64_t i = 0; i < kNodes; ++i) idx[i] = (i * 5 + 2) % kNodes;
-
-  const auto before = tpgnn::util::GetBufferPoolStats();
-  for (auto _ : state) {
-    Tensor out = ops::ScatterRowAdd(base, idx, ops::GatherRows(updates, idx));
-    ops::Sum(out).Backward();
-    benchmark::DoNotOptimize(base.MutableGrad().data());
-    base.ZeroGrad();
-    updates.ZeroGrad();
-  }
-  const auto after = tpgnn::util::GetBufferPoolStats();
-  state.counters["allocs/op"] = static_cast<double>(
-      FreshAllocs(after) - FreshAllocs(before)) /
-      static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_GatherScatterForwardBackward)->Arg(0)->Arg(1);
-
 void BM_GruRowStepInference(benchmark::State& state) {
   // The zero-copy inference step: StepInto over a [1, 64] row view; no
   // tensors or tape nodes exist per edge, so allocs/op must be ~0.

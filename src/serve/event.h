@@ -1,6 +1,7 @@
 #ifndef TPGNN_SERVE_EVENT_H_
 #define TPGNN_SERVE_EVENT_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -51,12 +52,19 @@ struct Event {
   int label = -1;
 };
 
+// P(normal) of a logit: the one expression every served probability and
+// every reference probability is computed with, so the two agree bit for
+// bit whenever the logits do.
+inline float ProbabilityOf(float logit) {
+  return 1.0f / (1.0f + std::exp(-logit));
+}
+
 // Outcome of one score request.
 struct ScoreResult {
   uint64_t session_id = 0;
   Status status;
   float logit = 0.0f;
-  float probability = 0.0f;      // sigmoid(logit) = P(normal).
+  float probability = 0.0f;      // ProbabilityOf(logit).
   int64_t edges_scored = 0;      // Session edge count at scoring time.
   int label = -1;                // Echoed from the request.
   double queue_micros = 0.0;     // Enqueue -> start of scoring.

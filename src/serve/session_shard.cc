@@ -428,7 +428,7 @@ Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
     s.cached_seq = s.state_seq;
     s.cached_mode = mode;
   }
-  result->probability = 1.0f / (1.0f + std::exp(-result->logit));
+  result->probability = ProbabilityOf(result->logit);
   result->edges_scored = edges;
   result->score_micros = watch.ElapsedMicros();
   result->status = Status::Ok();

@@ -268,14 +268,6 @@ Tensor AddScalar(const Tensor& a, float s) {
       [](float) { return 1.0f; });
 }
 
-Tensor Pow(const Tensor& a, float exponent) {
-  return UnaryEw(
-      "Pow", a, [exponent](float x) { return std::pow(x, exponent); },
-      [exponent](float x) {
-        return exponent * std::pow(x, exponent - 1.0f);
-      });
-}
-
 Tensor Neg(const Tensor& a) {
   return UnaryEw(
       "Neg", a, [](float x) { return -x; }, [](float) { return -1.0f; });
@@ -573,53 +565,6 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& indices) {
   });
 }
 
-Tensor ScatterRowAdd(const Tensor& base, const std::vector<int64_t>& indices,
-                     const Tensor& updates) {
-  TPGNN_CHECK_EQ(base.dim(), 2) << "ScatterRowAdd requires matrices";
-  TPGNN_CHECK_EQ(updates.dim(), 2);
-  const int64_t n = base.size(0);
-  const int64_t cols = base.size(1);
-  TPGNN_CHECK_EQ(updates.size(1), cols);
-  TPGNN_CHECK_EQ(updates.size(0), static_cast<int64_t>(indices.size()));
-  std::vector<float> out = PooledCopy(base.data());
-  const std::vector<float>& ud = updates.data();
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const int64_t row = indices[i];
-    TPGNN_CHECK_GE(row, 0);
-    TPGNN_CHECK_LT(row, n);
-    float* dst = out.data() + row * cols;
-    const float* src = ud.data() + static_cast<int64_t>(i) * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      dst[c] += src[c];
-    }
-  }
-  return MakeResult(
-      "ScatterRowAdd", {base, updates}, base.shape(), std::move(out), [&]() {
-        auto base_impl = base.impl();
-        auto updates_impl = updates.impl();
-        std::vector<int64_t> idx = indices;
-        return [base_impl, updates_impl, idx,
-                cols](const std::vector<float>& grad_out) {
-          if (base_impl->requires_grad) {
-            std::vector<float>& bg = GradBufferFor(*base_impl);
-            for (size_t i = 0; i < grad_out.size(); ++i) {
-              bg[i] += grad_out[i];
-            }
-          }
-          if (updates_impl->requires_grad) {
-            std::vector<float>& ug = GradBufferFor(*updates_impl);
-            for (size_t i = 0; i < idx.size(); ++i) {
-              float* dst = ug.data() + static_cast<int64_t>(i) * cols;
-              const float* g = grad_out.data() + idx[i] * cols;
-              for (int64_t c = 0; c < cols; ++c) {
-                dst[c] += g[c];
-              }
-            }
-          }
-        };
-      });
-}
-
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   TPGNN_CHECK_EQ(a.dim(), 2);
   TPGNN_CHECK_EQ(b.dim(), 2);
@@ -789,35 +734,6 @@ Tensor MulAdd(const Tensor& a, const Tensor& b, const Tensor& c) {
       }
     };
   });
-}
-
-Tensor TanhAdd(const Tensor& a, const Tensor& b) {
-  TPGNN_CHECK(a.shape() == b.shape()) << "TanhAdd requires equal shapes";
-  const int64_t n = a.numel();
-  std::vector<float> out = OutBuffer(n);
-  const float* ad = a.data().data();
-  const float* bd = b.data().data();
-  for (int64_t i = 0; i < n; ++i) {
-    out[static_cast<size_t>(i)] = std::tanh(ad[i] + bd[i]);
-  }
-  return MakeResult(
-      "TanhAdd", {a, b}, a.shape(), std::move(out), [&](TensorImpl* out_impl) {
-        auto a_impl = a.impl();
-        auto b_impl = b.impl();
-        return [a_impl, b_impl,
-                out_impl](const std::vector<float>& grad_out) {
-          const std::vector<float>& y = out_impl->data;
-          const bool need_a = a_impl->requires_grad;
-          const bool need_b = b_impl->requires_grad;
-          std::vector<float>* ag = need_a ? &GradBufferFor(*a_impl) : nullptr;
-          std::vector<float>* bg = need_b ? &GradBufferFor(*b_impl) : nullptr;
-          for (size_t i = 0; i < grad_out.size(); ++i) {
-            const float d = (1.0f - y[i] * y[i]) * grad_out[i];
-            if (need_a) (*ag)[i] += d;
-            if (need_b) (*bg)[i] += d;
-          }
-        };
-      });
 }
 
 Tensor GruBlend(const Tensor& z, const Tensor& h, const Tensor& n) {
@@ -1007,37 +923,6 @@ Tensor BinaryCrossEntropyWithLogits(const Tensor& logits,
       }
     };
   });
-}
-
-void AddInPlace(Tensor& a, const Tensor& b) {
-  TPGNN_CHECK(a.shape() == b.shape()) << "AddInPlace requires equal shapes";
-  TPGNN_CHECK(a.impl()->grad_fn == nullptr && !a.requires_grad())
-      << "AddInPlace would corrupt a recorded tensor's saved activations";
-  std::vector<float>& ad = a.MutableData();
-  const std::vector<float>& bd = b.data();
-  for (size_t i = 0; i < ad.size(); ++i) {
-    ad[i] += bd[i];
-  }
-}
-
-void ScaledAddInPlace(Tensor& a, const Tensor& b, float s) {
-  TPGNN_CHECK(a.shape() == b.shape())
-      << "ScaledAddInPlace requires equal shapes";
-  TPGNN_CHECK(a.impl()->grad_fn == nullptr && !a.requires_grad())
-      << "ScaledAddInPlace would corrupt a recorded tensor's saved "
-         "activations";
-  std::vector<float>& ad = a.MutableData();
-  const std::vector<float>& bd = b.data();
-  for (size_t i = 0; i < ad.size(); ++i) {
-    ad[i] += s * bd[i];
-  }
-}
-
-int64_t Argmax(const Tensor& a) {
-  TPGNN_CHECK_GT(a.numel(), 0);
-  const std::vector<float>& ad = a.data();
-  return static_cast<int64_t>(
-      std::max_element(ad.begin(), ad.end()) - ad.begin());
 }
 
 bool AllClose(const Tensor& a, const Tensor& b, float atol, float rtol) {

@@ -32,9 +32,6 @@ Tensor Div(const Tensor& a, const Tensor& b);
 // --- Scalar forms -----------------------------------------------------------
 Tensor Scale(const Tensor& a, float s);
 Tensor AddScalar(const Tensor& a, float s);
-// Elementwise power with a constant exponent; for non-integer exponents the
-// base must be positive.
-Tensor Pow(const Tensor& a, float exponent);
 
 // --- Elementwise unary -------------------------------------------------------
 Tensor Neg(const Tensor& a);
@@ -66,12 +63,6 @@ Tensor Row(const Tensor& a, int64_t row);
 // indices accumulate). Equivalent to IndexSelect on a matrix, kept separate
 // so per-edge endpoint lookups cost a single node.
 Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& indices);
-// base with updates[i] added into row indices[i] (duplicates accumulate):
-// out = base; out[indices[i], :] += updates[i, :]. base [n, cols],
-// updates [indices.size(), cols]. The functional counterpart of a per-edge
-// state write; gradients flow to both base (identity) and updates (gather).
-Tensor ScatterRowAdd(const Tensor& base, const std::vector<int64_t>& indices,
-                     const Tensor& updates);
 
 // --- Linear algebra -----------------------------------------------------------
 // [n, k] x [k, m] -> [n, m].
@@ -88,8 +79,6 @@ Tensor Affine2(const Tensor& x, const Tensor& w, const Tensor& h,
 // --- Fused elementwise (equal shapes, no broadcasting) ----------------------
 // a*b + c.
 Tensor MulAdd(const Tensor& a, const Tensor& b, const Tensor& c);
-// tanh(a + b).
-Tensor TanhAdd(const Tensor& a, const Tensor& b);
 // z*h + (1-z)*n, the GRU convex blend; bit-identical to the unfused
 // Add(Mul(z, h), Mul(Sub(ones, z), n)) chain without materializing ones.
 Tensor GruBlend(const Tensor& z, const Tensor& h, const Tensor& n);
@@ -111,14 +100,6 @@ Tensor BinaryCrossEntropyWithLogits(const Tensor& logits,
                                     const Tensor& targets);
 
 // --- Non-differentiable helpers -----------------------------------------------------
-// In-place accumulation for inference-time state updates: a += b and
-// a += s*b. CHECK-fail on tensors carrying autograd state (grad_fn or
-// requires_grad) — mutating a recorded tensor would corrupt saved
-// activations. Shapes must match exactly.
-void AddInPlace(Tensor& a, const Tensor& b);
-void ScaledAddInPlace(Tensor& a, const Tensor& b, float s);
-// Index of the largest element (flat).
-int64_t Argmax(const Tensor& a);
 // True when |a - b| <= atol + rtol * |b| elementwise (shapes must match).
 bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
               float rtol = 1e-4f);

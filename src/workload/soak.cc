@@ -6,7 +6,7 @@
 #include <unordered_map>
 
 #include "graph/temporal_graph.h"
-#include "tensor/tensor.h"
+#include "serve/parity_oracle.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -28,15 +28,6 @@ bool SampledForParity(uint64_t session_id, double rate) {
   uint64_t state = session_id ^ 0x7061726974792121ULL;  // "parity!!"
   const uint64_t u = SplitMix64(state);
   return static_cast<double>(u >> 11) * 0x1.0p-53 < rate;
-}
-
-// The offline reference score (the serving parity contract, see
-// tests/serve/parity_test.cc): inference-mode forward over the fully built
-// prefix graph. Serving scores must reproduce this bit for bit.
-float OfflineLogit(core::TpGnnModel& model, const graph::TemporalGraph& g) {
-  tensor::NoGradGuard no_grad;
-  Rng rng(0);
-  return model.ForwardLogit(g, /*training=*/false, rng).item();
 }
 
 struct ParityPending {
@@ -207,7 +198,7 @@ SoakReport RunSoak(const SoakOptions& options) {
             session.edges[static_cast<size_t>(k)];
         prefix.AddEdge(e.src, e.dst, e.time);
       }
-      const float offline = OfflineLogit(engine.model(), prefix);
+      const float offline = serve::OfflineLogit(engine.model(), prefix);
       ++report.parity_checks;
       if (std::memcmp(&offline, &p.logit, sizeof(float)) != 0) {
         ++report.parity_mismatches;

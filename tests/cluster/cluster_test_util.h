@@ -1,16 +1,13 @@
 #ifndef TPGNN_TESTS_CLUSTER_CLUSTER_TEST_UTIL_H_
 #define TPGNN_TESTS_CLUSTER_CLUSTER_TEST_UTIL_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,62 +18,19 @@
 #include "net/net_test_util.h"
 #include "net/server.h"
 #include "serve/inference_engine.h"
+#include "serve/parity_oracle.h"
 #include "serve/serve_test_util.h"
 
 // Shared helpers for the cluster tests: a harness running N real backend
 // servers plus a Router (threaded, or hand-polled for tests that call the
-// poll-thread-only admin API), a restartable backend pinned to a port (the
-// "process restart" half of kill/restart chaos), and the prefix-table
-// parity oracle from the loopback tests, extended with the typed-failure
-// outcome a failover may legitimately produce.
+// poll-thread-only admin API), and the serve::ParityOracle check extended
+// with the typed-failure outcome a failover may legitimately produce.
 
 namespace tpgnn::cluster {
 
 // All backends share this seed, so every engine in the cluster serves the
 // same model — the precondition for bit-identical scores across moves.
 constexpr uint64_t kClusterSeed = 5;
-
-// A fresh server process on a FIXED port: what a supervisor brings back
-// after a backend dies. Start retries briefly (the dead listener's port
-// may take a moment to free).
-class RestartedBackend {
- public:
-  explicit RestartedBackend(int port)
-      : engine_(serve::TinyServeConfig(), kClusterSeed, {}) {
-    net::ServerOptions options;
-    options.port = port;
-    for (int attempt = 0; attempt < 50; ++attempt) {
-      auto server = std::make_unique<net::Server>(&engine_, options);
-      if (server->Start().ok()) {
-        server_ = std::move(server);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    if (server_ == nullptr) {
-      std::fprintf(stderr, "restart on port %d failed\n", port);
-      std::abort();
-    }
-    thread_ = std::thread([this] { server_->Run(); });
-  }
-
-  ~RestartedBackend() { Stop(); }
-
-  void Stop() {
-    if (thread_.joinable()) {
-      server_->RequestShutdown();
-      thread_.join();
-    }
-  }
-
-  serve::InferenceEngine& engine() { return engine_; }
-  net::Server& server() { return *server_; }
-
- private:
-  serve::InferenceEngine engine_;
-  std::unique_ptr<net::Server> server_;
-  std::thread thread_;
-};
 
 // N backend servers (each a net::ServerHarness with its own engine) plus a
 // Router in front. `threaded` runs the router's poll loop on a background
@@ -180,59 +134,11 @@ inline HashRing HarnessRing(size_t num_backends, int vnodes = 64) {
   return ring;
 }
 
-// --- Prefix-table parity oracle (see tests/net/loopback_parity_test.cc) --
-
-struct PrefixScore {
-  float logit = 0.0f;
-  float probability = 0.0f;
-};
-
-// (session_id, edges ingested at scoring time) -> in-process score.
-using PrefixTable = std::map<std::pair<uint64_t, int64_t>, PrefixScore>;
-
-// In-process ground truth: the bitwise score of every session after every
-// arrival prefix, from a single-process engine that never sharded,
-// failed over, or migrated anything.
-inline void BuildPrefixTable(const std::vector<serve::Event>& events,
-                             PrefixTable* table) {
-  serve::InferenceEngine engine(serve::TinyServeConfig(), kClusterSeed, {});
-  std::map<uint64_t, int64_t> edges_seen;
-  std::vector<serve::ScoreResult> results;
-
-  auto score_now = [&](uint64_t session_id) {
-    results.clear();
-    ASSERT_TRUE(engine.Ingest(net::ScoreEvent(session_id)).ok());
-    engine.Flush(&results);
-    ASSERT_EQ(results.size(), 1u);
-    ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-    (*table)[{session_id, edges_seen[session_id]}] = {
-        results[0].logit, results[0].probability};
-  };
-
-  for (const serve::Event& event : events) {
-    switch (event.kind) {
-      case serve::Event::Kind::kBegin:
-        ASSERT_TRUE(engine.Ingest(event).ok());
-        score_now(event.session_id);
-        break;
-      case serve::Event::Kind::kEdge:
-        ASSERT_TRUE(engine.Ingest(event).ok());
-        ++edges_seen[event.session_id];
-        score_now(event.session_id);
-        break;
-      case serve::Event::Kind::kScore:
-      case serve::Event::Kind::kEnd:
-        break;
-    }
-  }
-}
-
-// Every successful result must be bitwise equal to the single-process
-// reference at its (session, prefix); a failover may instead resolve a
-// score with a typed kDataLoss, which still counts toward exactly-once.
-// Returns the number of typed failures.
+// Every successful result must pass the oracle at its (session, prefix);
+// a failover may instead resolve a score with a typed kDataLoss, which
+// still counts toward exactly-once. Returns the number of typed failures.
 inline size_t ExpectPrefixParityOrTypedFailure(
-    const PrefixTable& table,
+    serve::ParityOracle& oracle,
     const std::vector<serve::ScoreResult>& results) {
   size_t failed = 0;
   for (const serve::ScoreResult& result : results) {
@@ -242,16 +148,8 @@ inline size_t ExpectPrefixParityOrTypedFailure(
       ++failed;
       continue;
     }
-    const auto it = table.find({result.session_id, result.edges_scored});
-    if (it == table.end()) {
-      ADD_FAILURE() << "session " << result.session_id
-                    << " scored at unknown prefix " << result.edges_scored;
-      continue;
-    }
-    EXPECT_EQ(it->second.logit, result.logit)  // Bitwise: floats travel raw.
-        << "session " << result.session_id << " prefix "
-        << result.edges_scored;
-    EXPECT_EQ(it->second.probability, result.probability);
+    const Status parity = oracle.Check(result);
+    EXPECT_TRUE(parity.ok()) << parity.ToString();
   }
   return failed;
 }

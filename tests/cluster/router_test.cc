@@ -1,13 +1,12 @@
 // End-to-end tests of the router tier (DESIGN.md §4.7) against real
 // backend servers: protocol transparency (a client cannot tell a router
-// from a single serve_server), bitwise score parity with a single-process
-// engine across sharding, failover, restart, and live migration, and the
+// from a single serve_server), bitwise score parity with the offline
+// forward across sharding, failover, restart, and live migration, and the
 // cluster counters/failpoints that make those paths observable and
-// testable. The parity oracle is the prefix table from the loopback tests:
-// a score is a pure function of its session's arrival prefix, so every
-// networked result — no matter which backend produced it, or how many
-// times the session moved — must match the in-process score at its
-// (session, edges_scored).
+// testable. Parity is checked by serve::ParityOracle: a score is a pure
+// function of its session's arrival prefix, so every networked result — no
+// matter which backend produced it, or how many times the session moved —
+// must equal the offline forward at its (session, edges_scored).
 
 #include "cluster/router.h"
 
@@ -22,18 +21,13 @@
 #include "cluster_test_util.h"
 #include "data/datasets.h"
 #include "net/client.h"
-#include "serve/replay.h"
+#include "serve/parity_oracle.h"
 #include "util/failpoint.h"
 
 namespace tpgnn::cluster {
 namespace {
 
-serve::EventReplayer MakeReplayer(const graph::GraphDataset& dataset) {
-  serve::ReplayOptions options;
-  options.session_start_interval = 0.25;
-  options.score_every_edges = 4;
-  return serve::EventReplayer(dataset, options);
-}
+using net::MakeReplayer;
 
 // One resident session per graph (id = index + 1): Begin + all edges, no
 // End — sessions stay alive so tests can re-score them after migrations.
@@ -50,22 +44,20 @@ std::vector<serve::Event> SessionStream(const graph::GraphDataset& dataset) {
 }
 
 // Synchronously re-scores every session of `dataset` and checks each
-// result bitwise against the reference at its full prefix. The proof that
-// a migration/failover preserved state exactly: a moved session must score
+// result against the oracle at its full prefix. The proof that a
+// migration/failover preserved state exactly: a moved session must score
 // the same bits as one that never moved.
 void ExpectFullPrefixScores(net::Client& client,
                             const graph::GraphDataset& dataset,
-                            const PrefixTable& table) {
+                            serve::ParityOracle& oracle) {
   for (size_t i = 0; i < dataset.size(); ++i) {
     const uint64_t id = i + 1;
-    const int64_t edges = dataset[i].graph.num_edges();
     serve::ScoreResult result;
     ASSERT_TRUE(client.Score(id, -1, &result).ok()) << "session " << id;
-    ASSERT_EQ(result.edges_scored, edges) << "session " << id;
-    const auto it = table.find({id, edges});
-    ASSERT_NE(it, table.end());
-    EXPECT_EQ(it->second.logit, result.logit) << "session " << id;
-    EXPECT_EQ(it->second.probability, result.probability) << "session " << id;
+    ASSERT_EQ(result.edges_scored, dataset[i].graph.num_edges())
+        << "session " << id;
+    const Status parity = oracle.Check(result);
+    EXPECT_TRUE(parity.ok()) << parity.ToString();
   }
 }
 
@@ -121,18 +113,14 @@ TEST(RouterTest, ProxiesPipelinedStreamBitExactlyAcrossTwoBackends) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/8, /*seed=*/13);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
+  oracle.Record(replayer.events());
 
   RouterHarness harness(2);
-  net::Client client(harness.client_options());
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.IngestAll(replayer.events()).ok());
-  ASSERT_TRUE(client.DrainResults().ok());
-
-  std::vector<serve::ScoreResult> results = client.TakeResults();
+  const std::vector<serve::ScoreResult> results =
+      net::Replay(harness.client_options(), replayer.events());
   ASSERT_EQ(results.size(), replayer.num_score_requests());
-  EXPECT_EQ(ExpectPrefixParityOrTypedFailure(table, results), 0u)
+  EXPECT_EQ(ExpectPrefixParityOrTypedFailure(oracle, results), 0u)
       << "no failover happened, so no typed failures are admissible";
 
   // The ring actually sharded the load: every backend that owns sessions
@@ -180,20 +168,16 @@ TEST(RouterTest, MultiOwnerBatchKeepsPrefixAckSemantics) {
   EXPECT_EQ(applied, 4u);
 
   // The applied prefix really landed: both sessions score, bit-equal to
-  // an in-process engine fed the same four events.
-  PrefixTable table;
-  BuildPrefixTable({net::BeginEvent(a, g),
-                    net::EdgeEvent(a, e0.src, e0.dst, e0.time),
-                    net::BeginEvent(b, g),
-                    net::EdgeEvent(b, e1.src, e1.dst, e1.time)},
-                   &table);
+  // the offline forward over the four applied events.
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
+  oracle.Record(
+      {batch.begin(), batch.begin() + static_cast<ptrdiff_t>(applied)});
   for (uint64_t id : {a, b}) {
     serve::ScoreResult result;
     ASSERT_TRUE(client.Score(id, -1, &result).ok());
     ASSERT_EQ(result.edges_scored, 1);
-    const auto it = table.find({id, 1});
-    ASSERT_NE(it, table.end());
-    EXPECT_EQ(it->second.logit, result.logit);
+    const Status parity = oracle.Check(result);
+    EXPECT_TRUE(parity.ok()) << parity.ToString();
   }
 }
 
@@ -201,8 +185,8 @@ TEST(RouterTest, KillingABackendMidStreamKeepsExactlyOnceAndParity) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/10, /*seed=*/11);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
+  oracle.Record(replayer.events());
 
   RouterHarness harness(2);
   const size_t victim = BusiestBackend(dataset, 2);
@@ -227,7 +211,7 @@ TEST(RouterTest, KillingABackendMidStreamKeepsExactlyOnceAndParity) {
   // or a typed kDataLoss — never dropped, never duplicated.
   std::vector<serve::ScoreResult> results = client.TakeResults();
   EXPECT_EQ(results.size(), replayer.num_score_requests());
-  const size_t failed = ExpectPrefixParityOrTypedFailure(table, results);
+  const size_t failed = ExpectPrefixParityOrTypedFailure(oracle, results);
   client.Close();
   harness.Stop();
 
@@ -244,8 +228,8 @@ TEST(RouterTest, KilledBackendRestartsRejoinsAndServesBitExactly) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/11);
   std::vector<serve::Event> events = SessionStream(dataset);
-  PrefixTable table;
-  BuildPrefixTable(events, &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
+  oracle.Record(events);
 
   RouterHarness harness(2);
   const size_t victim = BusiestBackend(dataset, 2);
@@ -253,7 +237,7 @@ TEST(RouterTest, KilledBackendRestartsRejoinsAndServesBitExactly) {
   net::Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(client.IngestAll(events).ok());
-  ExpectFullPrefixScores(client, dataset, table);
+  ExpectFullPrefixScores(client, dataset, oracle);
 
   // Crash: the victim's sessions journal-replay onto the survivor and
   // keep scoring the same bits.
@@ -264,14 +248,16 @@ TEST(RouterTest, KilledBackendRestartsRejoinsAndServesBitExactly) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ExpectFullPrefixScores(client, dataset, table);
+  ExpectFullPrefixScores(client, dataset, oracle);
 
   // Restart on the SAME port, as a supervisor would: the router's dial
   // loop rejoins it, the ring rebalances, and sessions snapshot-migrate
   // back — still bit-exact.
-  RestartedBackend replacement(victim_port);
+  net::ServerOptions same_port;
+  same_port.port = victim_port;
+  net::ServerHarness replacement({}, same_port, kClusterSeed);
   harness.WaitForConnectedBackends(2);
-  ExpectFullPrefixScores(client, dataset, table);
+  ExpectFullPrefixScores(client, dataset, oracle);
   EXPECT_GT(replacement.engine().metrics().sessions_imported.load(), 0u);
 
   client.Close();
@@ -285,8 +271,8 @@ TEST(RouterTest, DrainAndUndrainMigrateSessionsBitExactly) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/8, /*seed=*/13);
   std::vector<serve::Event> events = SessionStream(dataset);
-  PrefixTable table;
-  BuildPrefixTable(events, &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
+  oracle.Record(events);
 
   // Hand-polled: DrainBackend/UndrainBackend are poll-thread-only, so the
   // test thread IS the poll thread and client work rides a side thread.
@@ -309,7 +295,7 @@ TEST(RouterTest, DrainAndUndrainMigrateSessionsBitExactly) {
   on_worker([&] {
     ASSERT_TRUE(client.Connect().ok());
     ASSERT_TRUE(client.IngestAll(events).ok());
-    ExpectFullPrefixScores(client, dataset, table);
+    ExpectFullPrefixScores(client, dataset, oracle);
   });
 
   const size_t victim = BusiestBackend(dataset, 2);
@@ -331,13 +317,13 @@ TEST(RouterTest, DrainAndUndrainMigrateSessionsBitExactly) {
       owned);
 
   // Migrated sessions score the same bits as if they had never moved.
-  on_worker([&] { ExpectFullPrefixScores(client, dataset, table); });
+  on_worker([&] { ExpectFullPrefixScores(client, dataset, oracle); });
 
   // Undrain: the ring re-adds the backend and the sessions snapshot back.
   ASSERT_TRUE(harness.router().UndrainBackend(victim_name).ok());
   EXPECT_EQ(harness.router().counters().sessions_migrated, 2 * owned);
   EXPECT_EQ(harness.router().counters().migration_failures, 0u);
-  on_worker([&] { ExpectFullPrefixScores(client, dataset, table); });
+  on_worker([&] { ExpectFullPrefixScores(client, dataset, oracle); });
 
   on_worker([&] { client.Close(); });
   harness.Stop();
@@ -399,14 +385,14 @@ TEST(RouterTest, MetricsMergeAcrossBackends) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/13);
   std::vector<serve::Event> events = SessionStream(dataset);
-  PrefixTable table;
-  BuildPrefixTable(events, &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
+  oracle.Record(events);
 
   RouterHarness harness(2);
   net::Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(client.IngestAll(events).ok());
-  ExpectFullPrefixScores(client, dataset, table);
+  ExpectFullPrefixScores(client, dataset, oracle);
 
   std::string json;
   ASSERT_TRUE(client.GetMetricsJson(&json).ok());
@@ -474,8 +460,8 @@ TEST(RouterTest, MigrateFailpointFailsOneMoveButKeepsServing) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/8, /*seed=*/13);
   std::vector<serve::Event> events = SessionStream(dataset);
-  PrefixTable table;
-  BuildPrefixTable(events, &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
+  oracle.Record(events);
 
   RouterHarness harness(2, {}, /*threaded=*/false);
   harness.PumpUntil(
@@ -504,19 +490,21 @@ TEST(RouterTest, MigrateFailpointFailsOneMoveButKeepsServing) {
 
   // Exactly one injected migration failure: that session's move aborts
   // before its export (nothing torn down), every other session migrates.
-  failpoint::ScopedFailpoint fp("router.migrate", 1.0,
-                                failpoint::Kind::kReturnError, /*arg=*/0,
-                                /*max_fires=*/1);
-  ASSERT_TRUE(harness.router().DrainBackend(victim_name).ok());
-  EXPECT_EQ(fp.fires(), 1u);
+  {
+    failpoint::ScopedFailpoint fp("router.migrate", 1.0,
+                                  failpoint::Kind::kReturnError, /*arg=*/0,
+                                  /*max_fires=*/1);
+    ASSERT_TRUE(harness.router().DrainBackend(victim_name).ok());
+    EXPECT_EQ(fp.fires(), 1u);
+  }
   EXPECT_EQ(harness.router().counters().migration_failures, 1u);
   EXPECT_EQ(harness.router().counters().sessions_migrated, owned - 1);
 
   // The failed session stayed on the (draining but connected) victim and
   // still serves; the moved ones serve from the other side — all of them
-  // bit-exact.
+  // bit-exact. The oracle checks only with the failpoint disarmed.
   on_worker([&] {
-    ExpectFullPrefixScores(client, dataset, table);
+    ExpectFullPrefixScores(client, dataset, oracle);
     client.Close();
   });
   harness.Stop();

@@ -6,8 +6,11 @@
 //   * no crash (the whole binary runs under ASan/UBSan and TSan in CI);
 //   * every accepted event is scored exactly once — shed events are
 //     reported via events_applied and retried, never dropped or doubled;
-//   * every successful score is bit-identical to the fault-free in-process
-//     reference (the prefix table of loopback_parity_test);
+//   * every successful score passes serve::ParityOracle: bit-identical to
+//     the offline forward over its session's arrival prefix. The oracle
+//     runs only with every failpoint disarmed, so each test collects its
+//     results inside its failpoint scopes and checks them after, reading
+//     fire counts through failpoint::FireCount;
 //   * serve::Metrics error counters equal the injected-fault fire counts
 //     exactly — no fault vanishes, none is double-counted.
 //
@@ -18,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,7 +30,7 @@
 #include "net/server.h"
 #include "net_test_util.h"
 #include "serve/inference_engine.h"
-#include "serve/replay.h"
+#include "serve/parity_oracle.h"
 #include "serve/serve_test_util.h"
 #include "util/env.h"
 #include "util/failpoint.h"
@@ -54,63 +56,11 @@ class ChaosTest : public ::testing::Test {
   }
 };
 
-serve::EventReplayer MakeReplayer(const graph::GraphDataset& dataset) {
-  serve::ReplayOptions options;
-  options.session_start_interval = 0.25;
-  options.score_every_edges = 4;
-  return serve::EventReplayer(dataset, options);
-}
-
-struct PrefixScore {
-  float logit = 0.0f;
-  float probability = 0.0f;
-};
-
-// (session_id, edges ingested at scoring time) -> fault-free score.
-using PrefixTable = std::map<std::pair<uint64_t, int64_t>, PrefixScore>;
-
-// Fault-free ground truth: must run with no failpoints installed.
-void BuildPrefixTable(const std::vector<serve::Event>& events,
-                      PrefixTable* table) {
-  ASSERT_EQ(failpoint::ActiveCount(), 0u)
-      << "reference table must be built fault-free";
-  serve::InferenceEngine engine(serve::TinyServeConfig(), kSeed, {});
-  std::map<uint64_t, int64_t> edges_seen;
-  std::vector<serve::ScoreResult> results;
-
-  auto score_now = [&](uint64_t session_id) {
-    results.clear();
-    ASSERT_TRUE(engine.Ingest(ScoreEvent(session_id)).ok());
-    engine.Flush(&results);
-    ASSERT_EQ(results.size(), 1u);
-    ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-    (*table)[{session_id, edges_seen[session_id]}] = {results[0].logit,
-                                                      results[0].probability};
-  };
-
-  for (const serve::Event& event : events) {
-    switch (event.kind) {
-      case serve::Event::Kind::kBegin:
-        ASSERT_TRUE(engine.Ingest(event).ok());
-        score_now(event.session_id);
-        break;
-      case serve::Event::Kind::kEdge:
-        ASSERT_TRUE(engine.Ingest(event).ok());
-        ++edges_seen[event.session_id];
-        score_now(event.session_id);
-        break;
-      case serve::Event::Kind::kScore:
-      case serve::Event::Kind::kEnd:
-        break;
-    }
-  }
-}
-
-// Every OK result must be bitwise equal to the reference score of its
-// session at its arrival prefix. `*failed_out` (optional) receives the
-// number of failed results, each of which must carry the injected-fault
-// marker of `injected_site` (pass nullptr when no failures are expected).
-void CheckResults(const PrefixTable& table,
+// Every OK result must pass the oracle at its arrival prefix.
+// `*failed_out` (optional) receives the number of failed results, each of
+// which must carry the injected-fault marker of `injected_site` (pass
+// nullptr when no failures are expected).
+void CheckResults(serve::ParityOracle& oracle,
                   const std::vector<serve::ScoreResult>& results,
                   size_t expected_count, const char* injected_site,
                   size_t* failed_out = nullptr) {
@@ -128,13 +78,8 @@ void CheckResults(const PrefixTable& table,
           << result.status.ToString();
       continue;
     }
-    const auto it = table.find({result.session_id, result.edges_scored});
-    ASSERT_NE(it, table.end()) << "session " << result.session_id
-                               << " prefix " << result.edges_scored;
-    EXPECT_EQ(it->second.logit, result.logit)  // Bitwise: floats travel raw.
-        << "session " << result.session_id << " prefix "
-        << result.edges_scored;
-    EXPECT_EQ(it->second.probability, result.probability);
+    const Status parity = oracle.Check(result);
+    EXPECT_TRUE(parity.ok()) << parity.ToString();
   }
   if (failed_out != nullptr) {
     *failed_out = failed;
@@ -163,23 +108,22 @@ TEST_F(ChaosTest, InjectedOverloadIsRetriedAndAccountedExactly) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/11);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(replayer.events());
 
   ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
   failpoint::SetSeed(41);
-  ScopedFailpoint overload("engine.score_enqueue", 0.2, Kind::kReturnError);
+  std::vector<serve::ScoreResult> results;
+  {
+    ScopedFailpoint overload("engine.score_enqueue", 0.2, Kind::kReturnError);
+    results = Replay(harness.client_options(), replayer.events());
+  }
 
-  Client client(harness.client_options());
-  ASSERT_TRUE(client.Connect().ok());
-  { Status st = client.IngestAll(replayer.events()); ASSERT_TRUE(st.ok()) << st.ToString(); }
-  { Status st = client.DrainResults(); ASSERT_TRUE(st.ok()) << st.ToString(); }
-
-  CheckResults(table, client.TakeResults(), replayer.num_score_requests(),
-               nullptr);
+  CheckResults(oracle, results, replayer.num_score_requests(), nullptr);
+  const uint64_t fires = failpoint::FireCount("engine.score_enqueue");
   const serve::Metrics& metrics = harness.engine().metrics();
-  EXPECT_GT(overload.fires(), 0u);
-  EXPECT_EQ(metrics.overload_rejections.load(), overload.fires());
+  EXPECT_GT(fires, 0u);
+  EXPECT_EQ(metrics.overload_rejections.load(), fires);
   EXPECT_EQ(metrics.scores_failed.load(), 0u);
   EXPECT_EQ(metrics.protocol_errors.load(), 0u);
   EXPECT_EQ(metrics.scores_completed.load(), replayer.num_score_requests());
@@ -192,27 +136,27 @@ TEST_F(ChaosTest, InjectedScoreFailuresAreTypedAndCountedExactly) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/11);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(replayer.events());
 
   ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
   failpoint::SetSeed(43);
-  ScopedFailpoint fail("shard.score", 0.3, Kind::kReturnError);
-
-  Client client(harness.client_options());
-  ASSERT_TRUE(client.Connect().ok());
-  { Status st = client.IngestAll(replayer.events()); ASSERT_TRUE(st.ok()) << st.ToString(); }
-  { Status st = client.DrainResults(); ASSERT_TRUE(st.ok()) << st.ToString(); }
+  std::vector<serve::ScoreResult> results;
+  {
+    ScopedFailpoint fail("shard.score", 0.3, Kind::kReturnError);
+    results = Replay(harness.client_options(), replayer.events());
+  }
 
   size_t failed = 0;
-  CheckResults(table, client.TakeResults(), replayer.num_score_requests(),
-               "shard.score", &failed);
+  CheckResults(oracle, results, replayer.num_score_requests(), "shard.score",
+               &failed);
+  const uint64_t fires = failpoint::FireCount("shard.score");
   const serve::Metrics& metrics = harness.engine().metrics();
-  EXPECT_GT(fail.fires(), 0u);
-  EXPECT_EQ(failed, fail.fires());
-  EXPECT_EQ(metrics.scores_failed.load(), fail.fires());
+  EXPECT_GT(fires, 0u);
+  EXPECT_EQ(failed, fires);
+  EXPECT_EQ(metrics.scores_failed.load(), fires);
   EXPECT_EQ(metrics.scores_completed.load(),
-            replayer.num_score_requests() - fail.fires());
+            replayer.num_score_requests() - fires);
   EXPECT_EQ(metrics.protocol_errors.load(), 0u);
 }
 
@@ -223,30 +167,33 @@ TEST_F(ChaosTest, IoFaultScheduleIsInvisibleToResults) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/13);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(replayer.events());
 
   ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
   failpoint::SetSeed(47);
-  ScopedFailpoint recv("net.recv", 0.25, Kind::kShortIo, /*arg=*/7);
-  ScopedFailpoint send("net.send", 0.25, Kind::kShortIo, /*arg=*/5);
-  ScopedFailpoint send_all("net.send_all", 0.2, Kind::kShortIo, /*arg=*/9);
-  ScopedFailpoint recv_some("net.recv_some", 0.2, Kind::kShortIo, /*arg=*/11);
-  ScopedFailpoint dispatch("server.dispatch", 0.05, Kind::kDelay,
-                           /*arg=*/300);
-  ScopedFailpoint pool("pool.acquire", 0.3, Kind::kAllocFail);
+  std::vector<serve::ScoreResult> results;
+  {
+    ScopedFailpoint recv("net.recv", 0.25, Kind::kShortIo, /*arg=*/7);
+    ScopedFailpoint send("net.send", 0.25, Kind::kShortIo, /*arg=*/5);
+    ScopedFailpoint send_all("net.send_all", 0.2, Kind::kShortIo, /*arg=*/9);
+    ScopedFailpoint recv_some("net.recv_some", 0.2, Kind::kShortIo,
+                              /*arg=*/11);
+    ScopedFailpoint dispatch("server.dispatch", 0.05, Kind::kDelay,
+                             /*arg=*/300);
+    ScopedFailpoint pool("pool.acquire", 0.3, Kind::kAllocFail);
+    results = Replay(harness.client_options(), replayer.events());
+  }
 
-  Client client(harness.client_options());
-  ASSERT_TRUE(client.Connect().ok());
-  { Status st = client.IngestAll(replayer.events()); ASSERT_TRUE(st.ok()) << st.ToString(); }
-  { Status st = client.DrainResults(); ASSERT_TRUE(st.ok()) << st.ToString(); }
-
-  CheckResults(table, client.TakeResults(), replayer.num_score_requests(),
-               nullptr);
+  CheckResults(oracle, results, replayer.num_score_requests(), nullptr);
   // The schedule actually bit: the wire faults and pool faults fired.
-  EXPECT_GT(recv.fires() + recv_some.fires(), 0u);
-  EXPECT_GT(send.fires() + send_all.fires(), 0u);
-  EXPECT_GT(pool.fires(), 0u);
+  EXPECT_GT(failpoint::FireCount("net.recv") +
+                failpoint::FireCount("net.recv_some"),
+            0u);
+  EXPECT_GT(failpoint::FireCount("net.send") +
+                failpoint::FireCount("net.send_all"),
+            0u);
+  EXPECT_GT(failpoint::FireCount("pool.acquire"), 0u);
   const serve::Metrics& metrics = harness.engine().metrics();
   EXPECT_EQ(metrics.protocol_errors.load(), 0u);
   EXPECT_EQ(metrics.scores_failed.load(), 0u);
@@ -389,8 +336,8 @@ TEST_F(ChaosTest, SweepAllFaultFamiliesAcrossSeeds) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/19);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(replayer.events());
 
   std::vector<uint64_t> seeds = {101, 202, 303};
   if (const int64_t env = GetEnvInt("TPGNN_CHAOS_SEED", -1); env >= 0) {
@@ -401,45 +348,43 @@ TEST_F(ChaosTest, SweepAllFaultFamiliesAcrossSeeds) {
     SCOPED_TRACE("chaos seed " + std::to_string(seed));
     ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
     failpoint::SetSeed(seed);
-    ScopedFailpoint recv("net.recv", 0.15, Kind::kShortIo, /*arg=*/7);
-    ScopedFailpoint send("net.send", 0.15, Kind::kShortIo, /*arg=*/5);
-    // Every client write is truncated to 9 bytes: I/O-fault coverage must
-    // not depend on how many syscalls the kernel's segment coalescing
-    // happens to leave for the probabilistic sites (under sanitizers the
-    // timing shifts enough that a low-probability schedule can evaluate a
-    // handful of times and never fire).
-    ScopedFailpoint send_all("net.send_all", 1.0, Kind::kShortIo, /*arg=*/9);
-    ScopedFailpoint recv_some("net.recv_some", 0.1, Kind::kShortIo,
-                              /*arg=*/11);
-    ScopedFailpoint dispatch("server.dispatch", 0.02, Kind::kDelay,
-                             /*arg=*/200);
-    ScopedFailpoint pool("pool.acquire", 0.2, Kind::kAllocFail);
-    ScopedFailpoint enqueue("engine.score_enqueue", 0.05, Kind::kReturnError);
-    ScopedFailpoint begin("shard.begin", 0.2, Kind::kReturnError);
-
-    Client client(harness.client_options());
-    ASSERT_TRUE(client.Connect().ok());
-    { Status st = client.IngestAll(replayer.events()); ASSERT_TRUE(st.ok()) << st.ToString(); }
-    { Status st = client.DrainResults(); ASSERT_TRUE(st.ok()) << st.ToString(); }
+    std::vector<serve::ScoreResult> results;
+    {
+      ScopedFailpoint recv("net.recv", 0.15, Kind::kShortIo, /*arg=*/7);
+      ScopedFailpoint send("net.send", 0.15, Kind::kShortIo, /*arg=*/5);
+      // Every client write is truncated to 9 bytes: I/O-fault coverage
+      // must not depend on how many syscalls the kernel's segment
+      // coalescing happens to leave for the probabilistic sites (under
+      // sanitizers the timing shifts enough that a low-probability
+      // schedule can evaluate a handful of times and never fire).
+      ScopedFailpoint send_all("net.send_all", 1.0, Kind::kShortIo,
+                               /*arg=*/9);
+      ScopedFailpoint recv_some("net.recv_some", 0.1, Kind::kShortIo,
+                                /*arg=*/11);
+      ScopedFailpoint dispatch("server.dispatch", 0.02, Kind::kDelay,
+                               /*arg=*/200);
+      ScopedFailpoint pool("pool.acquire", 0.2, Kind::kAllocFail);
+      ScopedFailpoint enqueue("engine.score_enqueue", 0.05,
+                              Kind::kReturnError);
+      ScopedFailpoint begin("shard.begin", 0.2, Kind::kReturnError);
+      results = Replay(harness.client_options(), replayer.events());
+    }
 
     // Exactly once, bit-identical, despite every fault family firing.
-    CheckResults(table, client.TakeResults(), replayer.num_score_requests(),
-                 nullptr);
+    CheckResults(oracle, results, replayer.num_score_requests(), nullptr);
     const serve::Metrics& metrics = harness.engine().metrics();
     EXPECT_EQ(metrics.scores_completed.load(), replayer.num_score_requests());
     EXPECT_EQ(metrics.scores_failed.load(), 0u);
     EXPECT_EQ(metrics.protocol_errors.load(), 0u);
     // Every overload rejection is attributable to an injected fire — the
     // genuine caps are uncapped in this harness.
-    EXPECT_EQ(metrics.overload_rejections.load(),
-              enqueue.fires() + begin.fires());
-    EXPECT_GT(enqueue.fires() + begin.fires(), 0u);
+    const uint64_t rejections = failpoint::FireCount("engine.score_enqueue") +
+                                failpoint::FireCount("shard.begin");
+    EXPECT_EQ(metrics.overload_rejections.load(), rejections);
+    EXPECT_GT(rejections, 0u);
     // send_all fires on every write, so short-I/O coverage is guaranteed
     // deterministically; recv/send/recv_some stay probabilistic extras.
-    EXPECT_GT(send_all.fires(), 0u);
-    (void)recv;
-    (void)send;
-    (void)recv_some;
+    EXPECT_GT(failpoint::FireCount("net.send_all"), 0u);
   }
 }
 

@@ -1,22 +1,18 @@
 // End-to-end parity: scores produced through the full network stack
-// (client -> wire protocol -> server -> engine) must be bit-identical to an
-// in-process InferenceEngine fed the same events. The engine scores a
-// session lazily when the queue drains, and a score is a pure function of
-// the session's arrival prefix at that moment (ServeParityTest pins this
-// down shard-level). So the reference here is a prefix table — the
-// in-process logit of every session after every arrival prefix — and every
-// networked result must match the table entry for its (session,
-// edges_scored), no matter where the server's engine pumps landed.
-// Exercised across shard counts, connection counts, out-of-order edge
-// arrival, and the overload/retry path.
+// (client -> wire protocol -> server -> engine) must be bit-identical to
+// the offline forward over the same events. The engine scores a session
+// lazily when the queue drains, and a score is a pure function of the
+// session's arrival prefix at that moment (ServeParityTest pins this down
+// shard-level). So every networked result is checked by serve::ParityOracle
+// at its (session, edges_scored), no matter where the server's engine
+// pumps landed. Exercised across shard counts, connection counts,
+// out-of-order edge arrival, and the overload/retry path.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "data/datasets.h"
@@ -24,7 +20,7 @@
 #include "net/server.h"
 #include "net_test_util.h"
 #include "serve/inference_engine.h"
-#include "serve/replay.h"
+#include "serve/parity_oracle.h"
 #include "serve/serve_test_util.h"
 
 namespace tpgnn::net {
@@ -32,77 +28,15 @@ namespace {
 
 constexpr uint64_t kSeed = 5;
 
-serve::EventReplayer MakeReplayer(const graph::GraphDataset& dataset) {
-  serve::ReplayOptions options;
-  options.session_start_interval = 0.25;
-  options.score_every_edges = 4;
-  return serve::EventReplayer(dataset, options);
-}
-
-struct PrefixScore {
-  float logit = 0.0f;
-  float probability = 0.0f;
-};
-
-// (session_id, edges ingested at scoring time) -> in-process score.
-using PrefixTable = std::map<std::pair<uint64_t, int64_t>, PrefixScore>;
-
-// Builds the reference table by replaying each session's events through an
-// in-process engine and scoring synchronously (enqueue + flush) after the
-// Begin and after every edge, so every arrival prefix has its bitwise
-// ground truth. End events are skipped: they would tear down state, and
-// every session's edges precede its End anyway.
-void BuildPrefixTable(const std::vector<serve::Event>& events,
-                      PrefixTable* table) {
-  serve::InferenceEngine engine(serve::TinyServeConfig(), kSeed, {});
-  std::map<uint64_t, int64_t> edges_seen;
-  std::vector<serve::ScoreResult> results;
-
-  auto score_now = [&](uint64_t session_id) {
-    results.clear();
-    ASSERT_TRUE(engine.Ingest(ScoreEvent(session_id)).ok());
-    engine.Flush(&results);
-    ASSERT_EQ(results.size(), 1u);
-    ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-    ASSERT_EQ(results[0].edges_scored, edges_seen[session_id]);
-    (*table)[{session_id, edges_seen[session_id]}] = {
-        results[0].logit, results[0].probability};
-  };
-
-  for (const serve::Event& event : events) {
-    switch (event.kind) {
-      case serve::Event::Kind::kBegin:
-        ASSERT_TRUE(engine.Ingest(event).ok());
-        score_now(event.session_id);
-        break;
-      case serve::Event::Kind::kEdge:
-        ASSERT_TRUE(engine.Ingest(event).ok());
-        ++edges_seen[event.session_id];
-        score_now(event.session_id);
-        break;
-      case serve::Event::Kind::kScore:
-      case serve::Event::Kind::kEnd:
-        break;
-    }
-  }
-}
-
-// Every networked result must be bitwise equal to the reference score of
-// its session at its arrival prefix.
-void ExpectPrefixParity(const PrefixTable& table,
+// Every networked result must pass the oracle at its arrival prefix.
+void ExpectPrefixParity(serve::ParityOracle& oracle,
                         const std::vector<serve::ScoreResult>& results,
                         size_t expected_count) {
   ASSERT_EQ(results.size(), expected_count);
   for (const serve::ScoreResult& result : results) {
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    const auto it = table.find({result.session_id, result.edges_scored});
-    ASSERT_NE(it, table.end())
-        << "session " << result.session_id << " prefix "
-        << result.edges_scored;
-    EXPECT_EQ(it->second.logit, result.logit)  // Bitwise: floats travel raw.
-        << "session " << result.session_id << " prefix "
-        << result.edges_scored;
-    EXPECT_EQ(it->second.probability, result.probability);
+    const Status parity = oracle.Check(result);
+    EXPECT_TRUE(parity.ok()) << parity.ToString();
   }
 }
 
@@ -110,16 +44,12 @@ TEST(LoopbackParityTest, SingleConnectionMatchesInProcessExactly) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/11);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(replayer.events());
 
   ServerHarness harness({}, {}, kSeed);
-  Client client(harness.client_options());
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.IngestAll(replayer.events()).ok());
-  ASSERT_TRUE(client.DrainResults().ok());
-
-  ExpectPrefixParity(table, client.TakeResults(),
+  ExpectPrefixParity(oracle,
+                     Replay(harness.client_options(), replayer.events()),
                      replayer.num_score_requests());
 }
 
@@ -137,8 +67,8 @@ TEST(LoopbackParityTest, SynchronousScoresMatchExactPrefixes) {
       all.push_back(EdgeEvent(id, e.src, e.dst, e.time));
     }
   }
-  PrefixTable table;
-  BuildPrefixTable(all, &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(all);
 
   ServerHarness harness({}, {}, kSeed);
   Client client(harness.client_options());
@@ -157,10 +87,8 @@ TEST(LoopbackParityTest, SynchronousScoresMatchExactPrefixes) {
       serve::ScoreResult result;
       ASSERT_TRUE(client.Score(id, -1, &result).ok());
       ASSERT_EQ(result.edges_scored, shipped);
-      const auto it = table.find({id, shipped});
-      ASSERT_NE(it, table.end());
-      EXPECT_EQ(it->second.logit, result.logit)
-          << "session " << id << " prefix " << shipped;
+      const Status parity = oracle.Check(result);
+      EXPECT_TRUE(parity.ok()) << parity.ToString();
     }
   }
 }
@@ -169,8 +97,8 @@ TEST(LoopbackParityTest, ShardAndConnectionCountsNeverChangeABit) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/8, /*seed=*/13);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(replayer.events());
 
   for (int shards : {1, 3}) {
     for (int connections : {1, 3}) {
@@ -193,19 +121,16 @@ TEST(LoopbackParityTest, ShardAndConnectionCountsNeverChangeABit) {
       std::vector<std::thread> threads;
       for (int c = 0; c < connections; ++c) {
         threads.emplace_back([&, c] {
-          Client client(harness.client_options());
-          ASSERT_TRUE(client.Connect().ok());
-          ASSERT_TRUE(
-              client.IngestAll(per_connection[static_cast<size_t>(c)]).ok());
-          ASSERT_TRUE(client.DrainResults().ok());
-          std::vector<serve::ScoreResult> results = client.TakeResults();
+          std::vector<serve::ScoreResult> results =
+              Replay(harness.client_options(),
+                     per_connection[static_cast<size_t>(c)]);
           std::lock_guard<std::mutex> lock(mu);
           networked.insert(networked.end(), results.begin(), results.end());
         });
       }
       for (std::thread& t : threads) t.join();
 
-      ExpectPrefixParity(table, networked, replayer.num_score_requests());
+      ExpectPrefixParity(oracle, networked, replayer.num_score_requests());
     }
   }
 }
@@ -215,8 +140,8 @@ TEST(LoopbackParityTest, OutOfOrderEdgeArrivalMatchesInProcess) {
       data::MakeDataset(data::HdfsSpec(), /*count=*/2, /*seed=*/17);
 
   // A stream whose edges arrive out of chronological order (reversed
-  // pairs), forcing the shard's refold path on both sides. The reference
-  // table is keyed by arrival prefix, so it sees the same disorder.
+  // pairs), forcing the shard's refold path. The oracle builds each
+  // prefix in arrival order, so it sees the same disorder.
   std::vector<serve::Event> events;
   size_t score_requests = 0;
   for (size_t i = 0; i < dataset.size(); ++i) {
@@ -236,25 +161,23 @@ TEST(LoopbackParityTest, OutOfOrderEdgeArrivalMatchesInProcess) {
     ++score_requests;
     events.push_back(EndEvent(id));
   }
-  PrefixTable table;
-  BuildPrefixTable(events, &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(events);
 
   ServerHarness harness({}, {}, kSeed);
-  Client client(harness.client_options());
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.IngestAll(events).ok());
-  ASSERT_TRUE(client.DrainResults().ok());
+  const std::vector<serve::ScoreResult> results =
+      Replay(harness.client_options(), events);
 
   EXPECT_GT(harness.engine().metrics().state_refolds.load(), 0u);
-  ExpectPrefixParity(table, client.TakeResults(), score_requests);
+  ExpectPrefixParity(oracle, results, score_requests);
 }
 
 TEST(LoopbackParityTest, OverloadRetryPathPreservesParity) {
   graph::GraphDataset dataset =
       data::MakeDataset(data::HdfsSpec(), /*count=*/5, /*seed=*/19);
   serve::EventReplayer replayer = MakeReplayer(dataset);
-  PrefixTable table;
-  BuildPrefixTable(replayer.events(), &table);
+  serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
+  oracle.Record(replayer.events());
 
   // Tiny queue and in-flight caps: the stream cannot ship without hitting
   // OVERLOADED frames, so IngestAll's drain-and-retry loop must fire — and
@@ -268,12 +191,7 @@ TEST(LoopbackParityTest, OverloadRetryPathPreservesParity) {
 
   ClientOptions client_options = harness.client_options();
   client_options.max_events_per_batch = 16;
-  Client client(client_options);
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.IngestAll(replayer.events()).ok());
-  ASSERT_TRUE(client.DrainResults().ok());
-
-  ExpectPrefixParity(table, client.TakeResults(),
+  ExpectPrefixParity(oracle, Replay(client_options, replayer.events()),
                      replayer.num_score_requests());
 }
 

@@ -1,79 +1,80 @@
 #ifndef TPGNN_TESTS_NET_NET_TEST_UTIL_H_
 #define TPGNN_TESTS_NET_NET_TEST_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "graph/temporal_graph.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/event.h"
 #include "serve/inference_engine.h"
+#include "serve/replay.h"
 #include "serve/serve_test_util.h"
 
-// Shared helpers for the network tests: event builders mirroring the engine
-// tests, and a harness that runs a real Server on an ephemeral loopback
-// port in a background thread.
+// Shared helpers for the network and cluster tests: the serving tests'
+// event builders, the replayed stream they share, a replay-and-drain
+// client step, and a harness that runs a real Server on a loopback port in
+// a background thread.
 
 namespace tpgnn::net {
 
-inline serve::Event BeginEvent(uint64_t id, const graph::TemporalGraph& g,
-                               double time = 0.0) {
-  serve::Event e;
-  e.kind = serve::Event::Kind::kBegin;
-  e.session_id = id;
-  e.time = time;
-  e.num_nodes = g.num_nodes();
-  e.feature_dim = g.feature_dim();
-  e.features = serve::AllNodeFeatures(g);
-  return e;
+using serve::BeginEvent;
+using serve::EdgeEvent;
+using serve::EndEvent;
+using serve::ScoreEvent;
+
+// The replayed stream of `dataset` the network and cluster tests drive:
+// staggered session starts and a score every four edges.
+inline serve::EventReplayer MakeReplayer(const graph::GraphDataset& dataset) {
+  serve::ReplayOptions options;
+  options.session_start_interval = 0.25;
+  options.score_every_edges = 4;
+  return serve::EventReplayer(dataset, options);
 }
 
-inline serve::Event EdgeEvent(uint64_t id, int64_t src, int64_t dst,
-                              double edge_time, double time = 0.0) {
-  serve::Event e;
-  e.kind = serve::Event::Kind::kEdge;
-  e.session_id = id;
-  e.time = time;
-  e.src = src;
-  e.dst = dst;
-  e.edge_time = edge_time;
-  return e;
+// Ships `events` over one fresh connection, drains, and returns every
+// result; a failed connect, ingest or drain fails the calling test.
+inline std::vector<serve::ScoreResult> Replay(
+    const ClientOptions& options, const std::vector<serve::Event>& events) {
+  Client client(options);
+  Status status = client.Connect();
+  if (status.ok()) status = client.IngestAll(events);
+  if (status.ok()) status = client.DrainResults();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return client.TakeResults();
 }
 
-inline serve::Event ScoreEvent(uint64_t id, int label = -1) {
-  serve::Event e;
-  e.kind = serve::Event::Kind::kScore;
-  e.session_id = id;
-  e.label = label;
-  return e;
-}
-
-inline serve::Event EndEvent(uint64_t id) {
-  serve::Event e;
-  e.kind = serve::Event::Kind::kEnd;
-  e.session_id = id;
-  return e;
-}
-
-// A live server on 127.0.0.1:<ephemeral> backed by its own engine, with the
-// poll loop on a background thread. Stop() (or the destructor) requests a
-// graceful shutdown and joins.
+// A live server on 127.0.0.1:<server_options.port> (0, the default, picks
+// an ephemeral port) backed by its own engine, with the poll loop on a
+// background thread. A fixed port is what a supervisor brings a dead
+// backend back on, so Start retries for a few seconds while the dead
+// listener's port frees. Stop() (or the destructor) requests a graceful
+// shutdown and joins.
 class ServerHarness {
  public:
   explicit ServerHarness(const serve::EngineOptions& engine_options = {},
-                         ServerOptions server_options = {},
+                         const ServerOptions& server_options = {},
                          uint64_t seed = 5)
       : engine_(serve::TinyServeConfig(), seed, engine_options) {
-    server_options.port = 0;
-    server_ = std::make_unique<Server>(&engine_, server_options);
-    Status status = server_->Start();
+    Status status;
+    for (int attempt = 0; attempt < 50; ++attempt) {
+      server_ = std::make_unique<Server>(&engine_, server_options);
+      status = server_->Start();
+      if (status.ok()) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
     if (!status.ok()) {
-      std::fprintf(stderr, "harness start failed: %s\n",
-                   status.ToString().c_str());
+      std::fprintf(stderr, "harness start on port %d failed: %s\n",
+                   server_options.port, status.ToString().c_str());
       std::abort();
     }
     thread_ = std::thread([this] { server_->Run(); });

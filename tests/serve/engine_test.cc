@@ -18,44 +18,6 @@
 namespace tpgnn::serve {
 namespace {
 
-Event BeginEvent(uint64_t id, const graph::TemporalGraph& g, double time) {
-  Event e;
-  e.kind = Event::Kind::kBegin;
-  e.session_id = id;
-  e.time = time;
-  e.num_nodes = g.num_nodes();
-  e.feature_dim = g.feature_dim();
-  e.features = AllNodeFeatures(g);
-  return e;
-}
-
-Event EdgeEvent(uint64_t id, int64_t src, int64_t dst, double edge_time,
-                double time) {
-  Event e;
-  e.kind = Event::Kind::kEdge;
-  e.session_id = id;
-  e.time = time;
-  e.src = src;
-  e.dst = dst;
-  e.edge_time = edge_time;
-  return e;
-}
-
-Event ScoreEvent(uint64_t id, int label = -1) {
-  Event e;
-  e.kind = Event::Kind::kScore;
-  e.session_id = id;
-  e.label = label;
-  return e;
-}
-
-Event EndEvent(uint64_t id) {
-  Event e;
-  e.kind = Event::Kind::kEnd;
-  e.session_id = id;
-  return e;
-}
-
 TEST(EngineTest, ScoresMatchOfflineForwardInRequestOrder) {
   EngineOptions options;
   options.num_shards = 3;

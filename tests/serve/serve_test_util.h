@@ -3,15 +3,15 @@
 
 #include <vector>
 
-#include "core/model.h"
+#include "core/config.h"
 #include "graph/temporal_graph.h"
 #include "serve/event.h"
-#include "tensor/tensor.h"
-#include "util/rng.h"
+#include "serve/parity_oracle.h"
 
 // Shared helpers for the serving tests: shipping a graph's node set into a
-// session Begin, and the offline reference score an incremental score must
-// reproduce bit-for-bit.
+// session Begin, event builders, and a small model config. The offline
+// reference score an incremental score must reproduce bit for bit is
+// serve::OfflineLogit (serve/parity_oracle.h).
 
 namespace tpgnn::serve {
 
@@ -24,14 +24,43 @@ inline std::vector<NodeInit> AllNodeFeatures(const graph::TemporalGraph& g) {
   return features;
 }
 
-// The offline reference: the model's zero-copy inference forward over the
-// fully built graph. Incremental serving scores are asserted bit-identical
-// to this.
-inline float OfflineLogit(core::TpGnnModel& model,
-                          const graph::TemporalGraph& g) {
-  tensor::NoGradGuard no_grad;
-  Rng rng(0);
-  return model.ForwardLogit(g, /*training=*/false, rng).item();
+inline Event BeginEvent(uint64_t id, const graph::TemporalGraph& g,
+                        double time = 0.0) {
+  Event e;
+  e.kind = Event::Kind::kBegin;
+  e.session_id = id;
+  e.time = time;
+  e.num_nodes = g.num_nodes();
+  e.feature_dim = g.feature_dim();
+  e.features = AllNodeFeatures(g);
+  return e;
+}
+
+inline Event EdgeEvent(uint64_t id, int64_t src, int64_t dst,
+                       double edge_time, double time = 0.0) {
+  Event e;
+  e.kind = Event::Kind::kEdge;
+  e.session_id = id;
+  e.time = time;
+  e.src = src;
+  e.dst = dst;
+  e.edge_time = edge_time;
+  return e;
+}
+
+inline Event ScoreEvent(uint64_t id, int label = -1) {
+  Event e;
+  e.kind = Event::Kind::kScore;
+  e.session_id = id;
+  e.label = label;
+  return e;
+}
+
+inline Event EndEvent(uint64_t id) {
+  Event e;
+  e.kind = Event::Kind::kEnd;
+  e.session_id = id;
+  return e;
 }
 
 // Small model config so the full parity matrix stays fast.

@@ -106,14 +106,6 @@ TEST(AutogradTest, SinCosGrad) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
-TEST(AutogradTest, PowGrad) {
-  Rng rng(11);
-  auto r = GradCheck(
-      [](const std::vector<Tensor>& p) { return Sum(Pow(p[0], 3.0f)); },
-      {RandParam({4}, rng, 0.5f, 1.5f)});
-  EXPECT_TRUE(r.ok) << r.message;
-}
-
 TEST(AutogradTest, LeakyReluGrad) {
   Rng rng(12);
   // Keep values away from the kink at 0 for finite differences.

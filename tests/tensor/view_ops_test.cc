@@ -1,15 +1,12 @@
 // Coverage for the fused per-edge ops and zero-copy row views added with
 // the tensor memory subsystem:
-//  * GatherRows / ScatterRowAdd forward values and gradients, checked both
-//    numerically and against compositions of the pre-existing ops
-//    (IndexSelect, Row, Stack, Concat), including duplicate-row scatters.
-//  * Affine / Affine2 / MulAdd / TanhAdd / GruBlend forward + gradcheck.
+//  * GatherRows forward values and gradients, checked both numerically and
+//    against IndexSelect, including duplicate rows.
+//  * Affine / Affine2 / MulAdd / GruBlend forward + gradcheck.
 //  * RowSpanOf / MutableRowSpan aliasing rules.
-//  * AddInPlace / ScaledAddInPlace and their autograd guard rails.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -58,68 +55,6 @@ TEST(GatherRowsTest, GradCheckWithDuplicateIndices) {
         return SquaredSum(GatherRows(p[0], {3, 1, 3, 0, 3}));
       },
       {a});
-  EXPECT_TRUE(r.ok) << r.message;
-}
-
-TEST(ScatterRowAddTest, ForwardAccumulatesDuplicateRows) {
-  Tensor base = Tensor::FromVector({3, 2}, {10, 20, 30, 40, 50, 60});
-  Tensor updates = Tensor::FromVector({3, 2}, {1, 2, 3, 4, 5, 6});
-  Tensor out = ScatterRowAdd(base, {0, 2, 0}, updates);
-  // Row 0 receives updates row 0 and row 2; row 1 is untouched.
-  EXPECT_EQ(out.data(), (std::vector<float>{16, 28, 30, 40, 53, 64}));
-  // Inputs are not mutated (the op is functional).
-  EXPECT_EQ(base.data(), (std::vector<float>{10, 20, 30, 40, 50, 60}));
-}
-
-TEST(ScatterRowAddTest, MatchesRowStackComposition) {
-  // Reference built purely from pre-existing ops: per destination row,
-  // accumulate the update rows that target it in scatter order, then stack.
-  const std::vector<int64_t> idx = {0, 2, 0, 1};
-  Tensor base = Tensor::FromVector({3, 2}, {1, -2, 3, 0.5f, -1, 4},
-                                   /*requires_grad=*/true);
-  Tensor updates =
-      Tensor::FromVector({4, 2}, {0.25f, 1, -0.5f, 2, 1.5f, -1, 0, 3},
-                         /*requires_grad=*/true);
-  Tensor base_ref = Tensor::FromVector({3, 2}, {1, -2, 3, 0.5f, -1, 4},
-                                       /*requires_grad=*/true);
-  Tensor updates_ref =
-      Tensor::FromVector({4, 2}, {0.25f, 1, -0.5f, 2, 1.5f, -1, 0, 3},
-                         /*requires_grad=*/true);
-
-  Tensor fused = ScatterRowAdd(base, idx, updates);
-
-  std::vector<Tensor> rows;
-  for (int64_t r = 0; r < 3; ++r) {
-    Tensor row = Row(base_ref, r);
-    for (size_t i = 0; i < idx.size(); ++i) {
-      if (idx[i] == r) {
-        row = Add(row, Row(updates_ref, static_cast<int64_t>(i)));
-      }
-    }
-    rows.push_back(row);
-  }
-  Tensor reference = Stack(rows);
-
-  ASSERT_EQ(fused.shape(), reference.shape());
-  EXPECT_EQ(fused.data(), reference.data());
-
-  SquaredSum(fused).Backward();
-  SquaredSum(reference).Backward();
-  EXPECT_EQ(base.grad(), base_ref.grad());
-  EXPECT_EQ(updates.grad(), updates_ref.grad());
-}
-
-TEST(ScatterRowAddTest, GradCheckWithDuplicateIndices) {
-  Rng rng(9);
-  Tensor base =
-      Tensor::Uniform({3, 2}, -1.0f, 1.0f, rng, /*requires_grad=*/true);
-  Tensor updates =
-      Tensor::Uniform({4, 2}, -1.0f, 1.0f, rng, /*requires_grad=*/true);
-  GradCheckResult r = GradCheck(
-      [](const std::vector<Tensor>& p) {
-        return SquaredSum(ScatterRowAdd(p[0], {1, 1, 2, 0}, p[1]));
-      },
-      {base, updates});
   EXPECT_TRUE(r.ok) << r.message;
 }
 
@@ -181,25 +116,6 @@ TEST(FusedElementwiseTest, MulAddForwardAndGradCheck) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
-TEST(FusedElementwiseTest, TanhAddForwardAndGradCheck) {
-  Tensor a = Tensor::FromVector({3}, {0.25f, -1, 2});
-  Tensor b = Tensor::FromVector({3}, {0.75f, 1, -2});
-  Tensor out = TanhAdd(a, b);
-  EXPECT_FLOAT_EQ(out.data()[0], std::tanh(1.0f));
-  EXPECT_FLOAT_EQ(out.data()[1], std::tanh(0.0f));
-  EXPECT_FLOAT_EQ(out.data()[2], std::tanh(0.0f));
-
-  Rng rng(7);
-  Tensor ga = Tensor::Uniform({5}, -1.0f, 1.0f, rng, /*requires_grad=*/true);
-  Tensor gb = Tensor::Uniform({5}, -1.0f, 1.0f, rng, /*requires_grad=*/true);
-  GradCheckResult r = GradCheck(
-      [](const std::vector<Tensor>& p) {
-        return SquaredSum(TanhAdd(p[0], p[1]));
-      },
-      {ga, gb});
-  EXPECT_TRUE(r.ok) << r.message;
-}
-
 TEST(FusedElementwiseTest, GruBlendBitIdenticalToUnfusedChain) {
   Rng rng(8);
   Tensor z = Tensor::Uniform({1, 6}, 0.1f, 0.9f, rng, /*requires_grad=*/true);
@@ -245,22 +161,6 @@ TEST(RowViewTest, MutableRowSpanRejectsAutogradTensors) {
                                 /*requires_grad=*/true);
   Tensor recorded = Tanh(a);
   EXPECT_DEATH(MutableRowSpan(recorded, 0), "Check failed");
-}
-
-TEST(InPlaceOpsTest, AddInPlaceAndScaledAddInPlace) {
-  Tensor a = Tensor::FromVector({4}, {1, 2, 3, 4});
-  Tensor b = Tensor::FromVector({4}, {10, 20, 30, 40});
-  AddInPlace(a, b);
-  EXPECT_EQ(a.data(), (std::vector<float>{11, 22, 33, 44}));
-  ScaledAddInPlace(a, b, -0.5f);
-  EXPECT_EQ(a.data(), (std::vector<float>{6, 12, 18, 24}));
-}
-
-TEST(InPlaceOpsTest, InPlaceOpsRejectAutogradTensors) {
-  Tensor leaf = Tensor::Zeros({4}, /*requires_grad=*/true);
-  Tensor b = Tensor::FromVector({4}, {1, 1, 1, 1});
-  EXPECT_DEATH(AddInPlace(leaf, b), "Check failed");
-  EXPECT_DEATH(ScaledAddInPlace(leaf, b, 2.0f), "Check failed");
 }
 
 }  // namespace
