@@ -9,9 +9,7 @@
 // from the buffer-pool stats facade (util/buffer_pool.h). Before the
 // google-benchmark suites run, main() times the per-edge mix and two tiny
 // fig6-style TP-GNN cells with the pool disabled vs enabled and writes the
-// machine-readable record to BENCH_alloc.json (TPGNN_BENCH_ALLOC_JSON), then
-// times the planned arena executor against the hand-fused scalar inference
-// loops it replaced and writes BENCH_plan.json (TPGNN_BENCH_PLAN_JSON).
+// machine-readable record to BENCH_alloc.json (TPGNN_BENCH_ALLOC_JSON).
 //
 // The MatMul fast-path acceptance bar for this repo is >= 2x the seed
 // kernel at 128x128x128; the pooled per-edge mix bar is >= 2x the unpooled
@@ -20,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -34,10 +31,8 @@
 #include "eval/trainer.h"
 #include "nn/gru_cell.h"
 #include "nn/time_encoding.h"
-#include "tensor/executor.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "tensor/plan.h"
 #include "tensor/tensor.h"
 #include "util/buffer_pool.h"
 #include "util/env.h"
@@ -181,15 +176,37 @@ void BM_PerEdgeTrainMix(benchmark::State& state) {
 }
 BENCHMARK(BM_PerEdgeTrainMix)->Arg(0)->Arg(1);
 
+// The rows one GRU step writes (nn::GruCell::Step).
+struct GruRows {
+  std::vector<float> z = std::vector<float>(kDim);
+  std::vector<float> r = std::vector<float>(kDim);
+  std::vector<float> xn = std::vector<float>(kDim);
+  std::vector<float> hu = std::vector<float>(kDim);
+  std::vector<float> n = std::vector<float>(kDim);
+};
+
+// One GRU step on one input row as the serving fold runs it: one-row input
+// projections, then the shared GruCell::Step. `out` may alias `h`.
+void GruRowStep(const tpgnn::nn::GruCell& gru, const float* x, const float* h,
+                float* out, GruRows& rows) {
+  const tpgnn::tensor::Kernels& ker = tpgnn::tensor::ActiveKernels();
+  ker.zero(rows.z.data(), kDim);
+  ker.zero(rows.r.data(), kDim);
+  ker.zero(rows.xn.data(), kDim);
+  gru.ProjectInputs(ker, x, 1, rows.z.data(), rows.r.data(), rows.xn.data());
+  gru.Step(ker, h, rows.z.data(), rows.r.data(), rows.xn.data(),
+           rows.hu.data(), rows.n.data(), out);
+}
+
 void BM_GruRowStepInference(benchmark::State& state) {
-  // The zero-copy inference step: StepInto over a [1, 64] row view; no
-  // tensors or tape nodes exist per edge, so allocs/op must be ~0.
+  // The zero-copy inference step over a [1, 64] row view; no tensors or
+  // tape nodes exist per edge, so allocs/op must be ~0.
   tpgnn::tensor::NoGradGuard no_grad;
   Rng rng(15);
   tpgnn::nn::GruCell gru(kDim, kDim, rng);
   Tensor node_state = RandomMatrix(kNodes, kDim, 16);
   std::vector<float> message(static_cast<size_t>(kDim));
-  tpgnn::nn::GruScratch scratch;
+  GruRows rows;
   int64_t e = 0;
   const auto before = tpgnn::util::GetBufferPoolStats();
   for (auto _ : state) {
@@ -198,7 +215,7 @@ void BM_GruRowStepInference(benchmark::State& state) {
     std::copy(src.data, src.data + kDim, message.begin());
     tpgnn::tensor::RowSpan dst =
         tpgnn::tensor::MutableRowSpan(node_state, (e * 7 + 3) % kNodes);
-    gru.StepInto(message.data(), dst.data, dst.data, scratch);
+    GruRowStep(gru, message.data(), dst.data, dst.data, rows);
     benchmark::DoNotOptimize(dst.data);
     ++e;
   }
@@ -267,11 +284,10 @@ void SeedStyleTrainSweep(const SeedGruParams& p, const Tensor& state) {
 
 // The current zero-copy inference sweep over the same logical computation:
 // the edge row is staged in one scratch buffer and the chain state lives in
-// a single flat buffer mutated by GruCell::StepInto.
+// a single flat buffer mutated by GruRowStep.
 void ZeroCopyInferenceSweep(const tpgnn::nn::GruCell& gru,
                             const Tensor& state, std::vector<float>& h,
-                            std::vector<float>& message,
-                            tpgnn::nn::GruScratch& scratch) {
+                            std::vector<float>& message, GruRows& rows) {
   namespace ops = tpgnn::tensor;
   ops::ConstRowSpan first = ops::RowSpanOf(state, 0);
   std::copy(first.data, first.data + kDim, h.begin());
@@ -281,7 +297,7 @@ void ZeroCopyInferenceSweep(const tpgnn::nn::GruCell& gru,
     for (int64_t i = 0; i < kDim; ++i) {
       message[static_cast<size_t>(i)] = (src.data[i] + dst.data[i]) * 0.5f;
     }
-    gru.StepInto(message.data(), h.data(), h.data(), scratch);
+    GruRowStep(gru, message.data(), h.data(), h.data(), rows);
   }
 }
 
@@ -428,11 +444,11 @@ double MeasureZeroCopyInferenceMix(int rounds) {
   Tensor node_state = RandomMatrix(kNodes, kDim, 12);
   std::vector<float> h(static_cast<size_t>(kDim));
   std::vector<float> message(static_cast<size_t>(kDim));
-  tpgnn::nn::GruScratch scratch;
-  ZeroCopyInferenceSweep(gru, node_state, h, message, scratch);  // Warm-up.
+  GruRows rows;
+  ZeroCopyInferenceSweep(gru, node_state, h, message, rows);  // Warm-up.
   tpgnn::Stopwatch watch;
   for (int r = 0; r < rounds; ++r) {
-    ZeroCopyInferenceSweep(gru, node_state, h, message, scratch);
+    ZeroCopyInferenceSweep(gru, node_state, h, message, rows);
     benchmark::DoNotOptimize(h.data());
   }
   return watch.ElapsedSeconds() * 1e9 /
@@ -506,296 +522,6 @@ std::string MixJson(const char* bench_name, const char* variant,
        << ", \"buffer_allocs_per_edge\": " << m.buffer_allocs_per_edge
        << ", \"node_allocs_per_edge\": " << m.node_allocs_per_edge << "}";
   return line.str();
-}
-
-// --- Planned executor vs hand-fused inference (BENCH_plan.json) ------------
-// The per-edge inference mixes the planned arena executor (tensor/plan.h +
-// tensor/executor.h) replaced: the hand-fused scalar loops TemporalPropagation
-// used before the refactor, reproduced here verbatim as the baseline. Both
-// sides run the same math over the same rows — SUM: fused tanh-add state fold
-// + Time2Vec accumulator fold + per-node readout; GRU: staged message
-// (src row ++ time encoding) through GruCell::StepInto + tanh readout.
-// The baseline is pinned to the scalar kernel table (the only implementation
-// that existed pre-refactor); the planned executor is measured both pinned
-// scalar (pure dispatch overhead) and in the auto-selected SIMD mode.
-
-namespace plan = tpgnn::tensor::plan;
-
-std::vector<float> RandomRows(int64_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> v(static_cast<size_t>(n));
-  for (float& x : v) x = rng.UniformFloat(-1.0f, 1.0f);
-  return v;
-}
-
-std::array<const float*, plan::kNumParamSlots> PlanParamTable(
-    const tpgnn::nn::Time2Vec& t2v, const tpgnn::nn::GruCell* gru) {
-  std::array<const float*, plan::kNumParamSlots> table{};
-  table[plan::kParamW0] = t2v.w0().data().data();
-  table[plan::kParamPhi0] = t2v.phi0().data().data();
-  table[plan::kParamW] = t2v.w().data().data();
-  table[plan::kParamPhi] = t2v.phi().data().data();
-  if (gru != nullptr) {
-    table[plan::kParamWz] = gru->wz().data().data();
-    table[plan::kParamUz] = gru->uz().data().data();
-    table[plan::kParamBz] = gru->bz().data().data();
-    table[plan::kParamWr] = gru->wr().data().data();
-    table[plan::kParamUr] = gru->ur().data().data();
-    table[plan::kParamBr] = gru->br().data().data();
-    table[plan::kParamWn] = gru->wn().data().data();
-    table[plan::kParamUn] = gru->un().data().data();
-    table[plan::kParamBn] = gru->bn().data().data();
-  }
-  return table;
-}
-
-// The pre-refactor SUM fold (stabilized, absolute basis): fused tanh-add
-// state update, Time2Vec encode + tanh-add accumulator fold, then the
-// per-node readout [tanh(x) ++ tanh(m)].
-void HandFusedSumSweep(const tpgnn::nn::Time2Vec& t2v, std::vector<float>& x,
-                       std::vector<float>& m, std::vector<float>& out,
-                       std::vector<float>& ft) {
-  for (int64_t e = 0; e < kNodes; ++e) {
-    const float* src = x.data() + e * kDim;
-    float* dst = x.data() + ((e * 7 + 3) % kNodes) * kDim;
-    for (int64_t i = 0; i < kDim; ++i) {
-      dst[i] = std::tanh(src[i] + dst[i]);
-    }
-    t2v.EvalInto(static_cast<float>(e) * 0.01f, ft.data());
-    float* mrow = m.data() + ((e * 7 + 3) % kNodes) * kTimeDim;
-    for (int64_t i = 0; i < kTimeDim; ++i) {
-      mrow[i] = std::tanh(ft[static_cast<size_t>(i)] + mrow[i]);
-    }
-  }
-  for (int64_t v = 0; v < kNodes; ++v) {
-    const float* xv = x.data() + v * kDim;
-    const float* mv = m.data() + v * kTimeDim;
-    float* o = out.data() + v * (kDim + kTimeDim);
-    for (int64_t i = 0; i < kDim; ++i) o[i] = std::tanh(xv[i]);
-    for (int64_t i = 0; i < kTimeDim; ++i) o[kDim + i] = std::tanh(mv[i]);
-  }
-}
-
-// The same SUM sweep through the compiled plans: one edge program + one
-// time program per edge, one finalize program per node.
-void PlannedSumSweep(const plan::CompiledPlans& plans, plan::ParamTable params,
-                     plan::PlanExecutor& exec, std::vector<float>& x,
-                     std::vector<float>& m, std::vector<float>& out) {
-  plan::RunContext ctx;
-  for (int64_t e = 0; e < kNodes; ++e) {
-    ctx.src = x.data() + e * kDim;
-    ctx.dst = x.data() + ((e * 7 + 3) % kNodes) * kDim;
-    exec.Run(plans.edge, params, ctx);
-    ctx.m = m.data() + ((e * 7 + 3) % kNodes) * kTimeDim;
-    ctx.t = static_cast<float>(e) * 0.01f;
-    exec.Run(plans.time, params, ctx);
-  }
-  for (int64_t v = 0; v < kNodes; ++v) {
-    ctx.src = x.data() + v * kDim;
-    ctx.m = m.data() + v * kTimeDim;
-    ctx.dst = out.data() + v * (kDim + kTimeDim);
-    exec.Run(plans.finalize, params, ctx);
-  }
-}
-
-// The pre-refactor GRU fold: stage [src row ++ Time2Vec(t)] in a message
-// buffer, StepInto the destination row in place, tanh readout per node.
-void HandFusedGruSweep(const tpgnn::nn::GruCell& gru,
-                       const tpgnn::nn::Time2Vec& t2v,
-                       std::vector<float>& state, std::vector<float>& out,
-                       std::vector<float>& message,
-                       tpgnn::nn::GruScratch& scratch) {
-  for (int64_t e = 0; e < kNodes; ++e) {
-    const float* src = state.data() + e * kDim;
-    float* dst = state.data() + ((e * 7 + 3) % kNodes) * kDim;
-    std::copy(src, src + kDim, message.begin());
-    t2v.EvalInto(static_cast<float>(e) * 0.01f, message.data() + kDim);
-    gru.StepInto(message.data(), dst, dst, scratch);
-  }
-  for (int64_t v = 0; v < kNodes; ++v) {
-    const float* xv = state.data() + v * kDim;
-    float* o = out.data() + v * kDim;
-    for (int64_t i = 0; i < kDim; ++i) o[i] = std::tanh(xv[i]);
-  }
-}
-
-void PlannedGruSweep(const plan::CompiledPlans& plans, plan::ParamTable params,
-                     plan::PlanExecutor& exec, std::vector<float>& state,
-                     std::vector<float>& out) {
-  plan::RunContext ctx;
-  for (int64_t e = 0; e < kNodes; ++e) {
-    ctx.src = state.data() + e * kDim;
-    ctx.dst = state.data() + ((e * 7 + 3) % kNodes) * kDim;
-    ctx.t = static_cast<float>(e) * 0.01f;
-    exec.Run(plans.edge, params, ctx);
-  }
-  for (int64_t v = 0; v < kNodes; ++v) {
-    ctx.src = state.data() + v * kDim;
-    ctx.dst = out.data() + v * kDim;
-    exec.Run(plans.finalize, params, ctx);
-  }
-}
-
-MixMeasurement MeasureSumPlanMix(bool planned, tpgnn::tensor::SimdMode mode,
-                                 int rounds) {
-  ScopedPoolEnabled pool(true);
-  tpgnn::tensor::NoGradGuard no_grad;
-  tpgnn::tensor::ScopedSimdMode pin(mode);
-  Rng rng(19);
-  tpgnn::nn::Time2Vec t2v(kTimeDim, rng);
-  plan::PlanSpec spec;
-  spec.updater = plan::PlanSpec::Updater::kSum;
-  spec.embed_dim = kDim;
-  spec.time_dim = kTimeDim;
-  spec.stabilize = true;
-  const plan::CompiledPlans plans = plan::BuildPlans(spec);
-  const auto params = PlanParamTable(t2v, nullptr);
-  std::vector<float> x = RandomRows(kNodes * kDim, 20);
-  std::vector<float> m(static_cast<size_t>(kNodes * kTimeDim), 0.0f);
-  std::vector<float> out(static_cast<size_t>(kNodes * (kDim + kTimeDim)));
-  std::vector<float> ft(static_cast<size_t>(kTimeDim));
-  plan::PlanExecutor exec;
-
-  auto sweep = [&] {
-    if (planned) {
-      PlannedSumSweep(plans, params.data(), exec, x, m, out);
-    } else {
-      HandFusedSumSweep(t2v, x, m, out, ft);
-    }
-  };
-  sweep();  // Warm the arena; values saturate but timing is shape-bound.
-
-  const auto before = tpgnn::util::GetBufferPoolStats();
-  tpgnn::Stopwatch watch;
-  for (int r = 0; r < rounds; ++r) {
-    sweep();
-    benchmark::DoNotOptimize(out.data());
-  }
-  const double seconds = watch.ElapsedSeconds();
-  const auto after = tpgnn::util::GetBufferPoolStats();
-
-  const double edges = static_cast<double>(rounds) * kNodes;
-  MixMeasurement result;
-  result.ns_per_edge = seconds * 1e9 / edges;
-  result.buffer_allocs_per_edge =
-      static_cast<double>(after.pool_misses - before.pool_misses) / edges;
-  result.node_allocs_per_edge = static_cast<double>(
-      (after.node_acquires - after.node_reuses) -
-      (before.node_acquires - before.node_reuses)) / edges;
-  return result;
-}
-
-MixMeasurement MeasureGruPlanMix(bool planned, tpgnn::tensor::SimdMode mode,
-                                 int rounds) {
-  ScopedPoolEnabled pool(true);
-  tpgnn::tensor::NoGradGuard no_grad;
-  tpgnn::tensor::ScopedSimdMode pin(mode);
-  Rng rng(23);
-  tpgnn::nn::GruCell gru(kDim + kTimeDim, kDim, rng);
-  tpgnn::nn::Time2Vec t2v(kTimeDim, rng);
-  plan::PlanSpec spec;
-  spec.updater = plan::PlanSpec::Updater::kGru;
-  spec.embed_dim = kDim;
-  spec.time_dim = kTimeDim;
-  const plan::CompiledPlans plans = plan::BuildPlans(spec);
-  const auto params = PlanParamTable(t2v, &gru);
-  std::vector<float> state = RandomRows(kNodes * kDim, 24);
-  std::vector<float> out(static_cast<size_t>(kNodes * kDim));
-  std::vector<float> message(static_cast<size_t>(kDim + kTimeDim));
-  tpgnn::nn::GruScratch scratch;
-  plan::PlanExecutor exec;
-
-  auto sweep = [&] {
-    if (planned) {
-      PlannedGruSweep(plans, params.data(), exec, state, out);
-    } else {
-      HandFusedGruSweep(gru, t2v, state, out, message, scratch);
-    }
-  };
-  sweep();  // Warm the arena / StepInto scratch.
-
-  const auto before = tpgnn::util::GetBufferPoolStats();
-  tpgnn::Stopwatch watch;
-  for (int r = 0; r < rounds; ++r) {
-    sweep();
-    benchmark::DoNotOptimize(out.data());
-  }
-  const double seconds = watch.ElapsedSeconds();
-  const auto after = tpgnn::util::GetBufferPoolStats();
-
-  const double edges = static_cast<double>(rounds) * kNodes;
-  MixMeasurement result;
-  result.ns_per_edge = seconds * 1e9 / edges;
-  result.buffer_allocs_per_edge =
-      static_cast<double>(after.pool_misses - before.pool_misses) / edges;
-  result.node_allocs_per_edge = static_cast<double>(
-      (after.node_acquires - after.node_reuses) -
-      (before.node_acquires - before.node_reuses)) / edges;
-  return result;
-}
-
-void WritePlanReport() {
-  const std::string path = tpgnn::GetEnvString("TPGNN_BENCH_PLAN_JSON",
-                                               "BENCH_plan.json");
-  const int rounds =
-      static_cast<int>(tpgnn::GetEnvInt("TPGNN_PLAN_ROUNDS", 1000));
-  const tpgnn::tensor::SimdMode active =
-      tpgnn::tensor::ActiveSimdMode();
-  const char* simd_name = tpgnn::tensor::SimdModeName(active);
-  std::printf("== planned executor vs hand-fused inference "
-              "(27 nodes x 64+6 dims, %d rounds, simd=%s) ==\n",
-              rounds, simd_name);
-
-  std::vector<std::string> lines;
-  struct Mix {
-    const char* bench;
-    MixMeasurement (*measure)(bool, tpgnn::tensor::SimdMode, int);
-  };
-  const Mix mixes[] = {
-      {"plan_sum_edge_mix_27x64t6", MeasureSumPlanMix},
-      {"plan_gru_edge_mix_27x64t6", MeasureGruPlanMix},
-  };
-  for (const Mix& mix : mixes) {
-    const MixMeasurement fused =
-        mix.measure(false, tpgnn::tensor::SimdMode::kScalar, rounds);
-    const MixMeasurement planned_scalar =
-        mix.measure(true, tpgnn::tensor::SimdMode::kScalar, rounds);
-    const MixMeasurement planned_simd = mix.measure(true, active, rounds);
-    const double scalar_speedup = planned_scalar.ns_per_edge > 0.0
-        ? fused.ns_per_edge / planned_scalar.ns_per_edge : 0.0;
-    const double simd_speedup = planned_simd.ns_per_edge > 0.0
-        ? fused.ns_per_edge / planned_simd.ns_per_edge : 0.0;
-    std::printf("  %s\n", mix.bench);
-    std::printf("    hand-fused scalar : %8.1f ns/edge  "
-                "%5.2f buffer allocs/edge\n",
-                fused.ns_per_edge, fused.buffer_allocs_per_edge);
-    std::printf("    planned scalar    : %8.1f ns/edge  "
-                "%5.2f buffer allocs/edge  (%.2fx)\n",
-                planned_scalar.ns_per_edge,
-                planned_scalar.buffer_allocs_per_edge, scalar_speedup);
-    std::printf("    planned %-9s : %8.1f ns/edge  "
-                "%5.2f buffer allocs/edge  (%.2fx)\n",
-                simd_name, planned_simd.ns_per_edge,
-                planned_simd.buffer_allocs_per_edge, simd_speedup);
-    lines.push_back(MixJson(mix.bench, "hand_fused_scalar", fused));
-    lines.push_back(MixJson(mix.bench, "planned_scalar", planned_scalar));
-    lines.push_back(MixJson(mix.bench, "planned_simd", planned_simd));
-    std::ostringstream line;
-    line << "{\"bench\": \"" << mix.bench
-         << "\", \"simd\": \"" << simd_name
-         << "\", \"speedup_planned_scalar_vs_fused\": " << scalar_speedup
-         << ", \"speedup_planned_simd_vs_fused\": " << simd_speedup << "}";
-    lines.push_back(line.str());
-  }
-
-  std::ofstream out(path, std::ios::trunc);
-  out << "[\n";
-  for (size_t i = 0; i < lines.size(); ++i) {
-    out << lines[i] << (i + 1 < lines.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
-  std::printf("wrote %s\n\n", path.c_str());
-  std::fflush(stdout);
 }
 
 // A tiny fig6-style cell (HDFS, paper-default dims): train seconds and
@@ -958,7 +684,6 @@ void WriteAllocReport() {
 
 int main(int argc, char** argv) {
   WriteAllocReport();
-  WritePlanReport();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

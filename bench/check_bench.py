@@ -10,9 +10,8 @@ object (BENCH_net.json) and "driver"-keyed files (BENCH_parallel.json).
 Single-file usage:
   bench/check_bench.py --baseline BENCH_serve.json --current /tmp/new.json
   bench/check_bench.py ... --max-drop 0.15 --metric events_per_second
-  bench/check_bench.py --baseline BENCH_plan.json --current /tmp/plan.json \
-      --metric speedup_planned_simd_vs_fused \
-      --require-zero buffer_allocs_per_edge
+  bench/check_bench.py --baseline BENCH_net.json --current /tmp/net.json \
+      --require-zero parity_mismatches
 
 Trajectory usage — one invocation gates every BENCH_*.json the repo
 tracks, with per-file metric lists read from a config:
@@ -25,9 +24,8 @@ Higher-is-better metrics are gated with --metric (default:
 events_per_second and scores_per_second); lower-is-better metrics (e.g.
 ns_per_edge) with --lower-metric, where an *increase* past --max-drop
 fails. --require-zero names a metric that must be exactly 0 in every
-current entry carrying it, regardless of the baseline (the planned
-executor's allocation-free contract, zero parity mismatches, zero soak
-invariant violations). Entries present in only one of the two files are
+current entry carrying it, regardless of the baseline (zero parity
+mismatches, zero protocol errors, zero soak invariant violations). Entries present in only one of the two files are
 reported but do not fail the gate — benchmarks come and go; losing a
 baseline row is a review concern, not a perf regression. Improvements
 are never failures.

@@ -143,14 +143,12 @@ Tensor GlobalTemporalExtractor::ForwardInference(
     const Tensor& node_embeddings,
     const std::vector<graph::TemporalEdge>& edge_order) const {
   // Zero-copy two-phase sweep over chunks of up to kSweepChunk edges. Phase
-  // one builds the chunk's edge embeddings and runs each gate's input
-  // projection x·W as one multi-row GEMM; phase two is the recurrent sweep,
-  // which only adds h·U and applies the gate maps. Every state element sees
-  // the same kernel expressions in the same order as GruCell::StepInto (a
-  // gate starts at zero, takes x·W, then h·U), and the mean accumulates like
-  // GruCell::ForwardSequence's, so the readout is bit-identical to the
-  // training forward in scalar mode and to the one-edge-at-a-time sweep in
-  // every mode.
+  // one builds the chunk's edge embeddings and runs the gates' input
+  // projections as multi-row GEMMs (GruCell::ProjectInputs); phase two runs
+  // GruCell::Step per edge, the step every GRU recurrence shares. The mean
+  // accumulates like GruCell::ForwardSequence's, so the readout is
+  // bit-identical to the training forward in scalar mode and to one
+  // projection and step per edge in every mode.
   const int64_t d = hidden_dim_;
   std::vector<float> state(static_cast<size_t>(d), 0.0f);
   if (edge_order.empty()) {
@@ -171,15 +169,6 @@ Tensor GlobalTemporalExtractor::ForwardInference(
   float* cand = hu + d;
   std::vector<float> acc(static_cast<size_t>(d), 0.0f);
   const bool mean = readout_ == ExtractorReadout::kMeanState;
-  const float* wz = gru_.wz().data().data();
-  const float* wr = gru_.wr().data().data();
-  const float* wn = gru_.wn().data().data();
-  const float* uz = gru_.uz().data().data();
-  const float* ur = gru_.ur().data().data();
-  const float* un = gru_.un().data().data();
-  const float* bz = gru_.bz().data().data();
-  const float* br = gru_.br().data().data();
-  const float* bn = gru_.bn().data().data();
   float* h = state.data();
 
   for (int64_t begin = 0; begin < total; begin += kSweepChunk) {
@@ -194,23 +183,11 @@ Tensor GlobalTemporalExtractor::ForwardInference(
     ker.zero(xz, count * d);
     ker.zero(xr, count * d);
     ker.zero(xn, count * d);
-    ker.gemm_accumulate(edges, wz, xz, count, edge_dim_, d);
-    ker.gemm_accumulate(edges, wr, xr, count, edge_dim_, d);
-    ker.gemm_accumulate(edges, wn, xn, count, edge_dim_, d);
+    gru_.ProjectInputs(ker, edges, count, xz, xr, xn);
 
-    // Eqs. (7)-(10), one GRU step per edge in establishment order; each
-    // gate row is consumed in place.
+    // Eqs. (7)-(10), one GRU step per edge in establishment order.
     for (int64_t i = 0; i < count; ++i) {
-      float* z = xz + i * d;
-      float* r = xr + i * d;
-      ker.gemm_accumulate(h, uz, z, 1, d, d);
-      ker.sigmoid_bias(z, bz, d);
-      ker.gemm_accumulate(h, ur, r, 1, d, d);
-      ker.sigmoid_bias(r, br, d);
-      ker.zero(hu, d);
-      ker.gemm_accumulate(h, un, hu, 1, d, d);
-      ker.gru_candidate(cand, r, hu, xn + i * d, bn, d);
-      ker.gru_blend(h, z, h, cand, d);
+      gru_.Step(ker, h, xz + i * d, xr + i * d, xn + i * d, hu, cand, h);
       if (mean) ker.add_accumulate(acc.data(), h, d);
     }
   }

@@ -46,10 +46,10 @@ class GlobalTemporalExtractor : public nn::Module {
 
  private:
   // GRU sweep used when gradients are disabled, two-phase over chunks of
-  // edges: the gates' input projections run as multi-row GEMMs, then the
-  // recurrent steps add h·U. Each element sees the same kernel expressions
-  // as GruCell::StepInto, so the embedding is bit-identical to Forward in
-  // scalar SIMD mode and kernel-ulp-close under a vector ISA.
+  // edges: the gates' input projections run as multi-row GEMMs, then one
+  // GruCell::Step per edge adds h·U and applies the gate maps. The embedding
+  // is bit-identical to Forward in scalar SIMD mode and kernel-ulp-close
+  // under a vector ISA.
   tensor::Tensor ForwardInference(
       const tensor::Tensor& node_embeddings,
       const std::vector<graph::TemporalEdge>& edge_order) const;

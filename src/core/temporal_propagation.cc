@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "tensor/executor.h"
 #include "tensor/ops.h"
 #include "util/buffer_pool.h"
 #include "util/logging.h"
@@ -24,6 +25,30 @@ double NormalizeTime(const TpGnnConfig& config, double t, double max_time) {
   return t / max_time * config.time_scale;
 }
 
+PropagationScratch::PropagationScratch(const TpGnnConfig& config) {
+  const int64_t d = config.embed_dim;
+  const int64_t td = config.time_dim;
+  const int64_t gru = config.updater == Updater::kGru ? (d + td) + 5 * d : 0;
+  buffer_.resize(static_cast<size_t>(gru + 4 * td));
+  float* next = buffer_.data();
+  const auto take = [&next](int64_t floats) {
+    float* row = next;
+    next += floats;
+    return row;
+  };
+  if (gru > 0) {
+    message_ = take(d + td);
+    for (float** row : {&z_, &r_, &xn_, &hu_, &n_}) *row = take(d);
+  }
+  time_ = take(2 * td);
+  rotation_ = take(2 * td);
+  tensor::plan::AddArenaBytes(buffer_.size() * sizeof(float));
+}
+
+PropagationScratch::~PropagationScratch() {
+  tensor::plan::ReleaseArenaBytes(buffer_.size() * sizeof(float));
+}
+
 TemporalPropagation::TemporalPropagation(const TpGnnConfig& config, Rng& rng)
     : config_(config),
       embed_(config.feature_dim, config.embed_dim, rng) {
@@ -39,43 +64,6 @@ TemporalPropagation::TemporalPropagation(const TpGnnConfig& config, Rng& rng)
     updater_ = std::make_unique<nn::GruCell>(input_dim, config_.embed_dim, rng);
     RegisterChild("updater", updater_.get());
   }
-  // Compile (or fetch) the per-edge programs for this shape. Programs are
-  // pure shape — parameters are bound per run through PlanParams() — so
-  // models with the same spec share one compiled plan. Variants without
-  // temporal propagation still need the finalize program (readout is
-  // Tanh(x)); their edge/time programs are never run.
-  tensor::plan::PlanSpec spec;
-  spec.updater = updater_ != nullptr ? tensor::plan::PlanSpec::Updater::kGru
-                                     : tensor::plan::PlanSpec::Updater::kSum;
-  spec.embed_dim = static_cast<int32_t>(config_.embed_dim);
-  spec.time_dim = time_ != nullptr ? static_cast<int32_t>(config_.time_dim) : 0;
-  spec.stabilize = config_.stabilize_sum;
-  spec.invariant =
-      time_ != nullptr && config_.time_basis == TimeBasis::kInvariant;
-  plans_ = tensor::plan::PlanCache::Global().Get(spec);
-}
-
-std::array<const float*, tensor::plan::kNumParamSlots>
-TemporalPropagation::PlanParams() const {
-  std::array<const float*, tensor::plan::kNumParamSlots> params{};
-  if (time_ != nullptr) {
-    params[tensor::plan::kParamW0] = time_->w0().data().data();
-    params[tensor::plan::kParamPhi0] = time_->phi0().data().data();
-    params[tensor::plan::kParamW] = time_->w().data().data();
-    params[tensor::plan::kParamPhi] = time_->phi().data().data();
-  }
-  if (updater_ != nullptr) {
-    params[tensor::plan::kParamWz] = updater_->wz().data().data();
-    params[tensor::plan::kParamUz] = updater_->uz().data().data();
-    params[tensor::plan::kParamBz] = updater_->bz().data().data();
-    params[tensor::plan::kParamWr] = updater_->wr().data().data();
-    params[tensor::plan::kParamUr] = updater_->ur().data().data();
-    params[tensor::plan::kParamBr] = updater_->br().data().data();
-    params[tensor::plan::kParamWn] = updater_->wn().data().data();
-    params[tensor::plan::kParamUn] = updater_->un().data().data();
-    params[tensor::plan::kParamBn] = updater_->bn().data().data();
-  }
-  return params;
 }
 
 int64_t TemporalPropagation::output_dim() const {
@@ -99,11 +87,12 @@ Tensor TemporalPropagation::Forward(
   Tensor x = embed_.Forward(graph.FeatureMatrix());  // [n, embed_dim]
 
   if (!config_.use_temporal_propagation()) {
-    // Inference readout goes through the planned executor so offline scores
-    // match serving bitwise in every SIMD mode (scalar tanh is libm there
-    // too, so scalar mode also matches this recorded path bitwise).
+    // Inference readout goes through FinalizeState so offline scores match
+    // serving bitwise in every SIMD mode (scalar tanh is libm there too, so
+    // scalar mode also matches this recorded path bitwise).
     if (!tensor::GradEnabled()) {
-      return FinalizeState(x, Tensor(), /*max_time=*/0.0);
+      PropagationScratch scratch(config_);
+      return FinalizeState(x, Tensor(), /*max_time=*/0.0, scratch);
     }
     return Tanh(x);
   }
@@ -170,16 +159,15 @@ struct SumTape {
   // Rows the squashed recurrences wrote, per edge (stabilize only): X-hat[v]
   // [m, e] and, in the absolute basis, M-hat[v] [m, td].
   std::vector<float> xsteps, msteps;
-  // Invariant basis: per node the phasor sums [n, td - 1] each, Σt and the
-  // event count; the rotation table [td - 1] each; the linear channel's
-  // rescale and the max time.
-  std::vector<float> psin, pcos, tsum, count, rot_cos, rot_sin;
+  // The folded time accumulator [n, time_state_dim]. The invariant sweep
+  // reads its rows [Σt, k, A_1..A_{td-1}, B_1..B_{td-1}], the rotation table
+  // [cos(w T) ++ sin(w T)], the linear channel's rescale and the max time.
+  std::vector<float> acc, rot;
   float sf = 1.0f;
   float tmax = 0.0f;
 
   ~SumTape() {
-    for (std::vector<float>* buffer : {&t, &xsteps, &msteps, &psin, &pcos,
-                                       &tsum, &count, &rot_cos, &rot_sin}) {
+    for (std::vector<float>* buffer : {&t, &xsteps, &msteps, &acc, &rot}) {
       util::ReleaseBuffer(std::move(*buffer));
     }
   }
@@ -274,24 +262,28 @@ void SumTape::TimeBackward(float* g) const {
     std::vector<float> dpc = util::AcquireBuffer(static_cast<size_t>(n * p));
     std::vector<float> drc = util::AcquireBuffer(static_cast<size_t>(p));
     std::vector<float> drs = util::AcquireBuffer(static_cast<size_t>(p));
+    const float* rot_cos = rot.data();
+    const float* rot_sin = rot.data() + p;
     for (int64_t v = 0; v < n; ++v) {
       float* gm = g + v * width + e;
-      const float k = count[static_cast<size_t>(v)];
+      const float* mv = acc.data() + v * 2 * td;
+      const float* psin = mv + 2;
+      const float* pcos = mv + td + 1;
+      const float k = mv[1];
       if (stabilize) {
         const float invk = k > 0.0f ? 1.0f / k : 1.0f;
         for (int64_t j = 0; j < td; ++j) {
           gm[j] = invk * gm[j];
         }
       }
-      dw0 += (tsum[static_cast<size_t>(v)] * sf) * gm[0];
+      dw0 += (mv[0] * sf) * gm[0];
       dphi0 += k * gm[0];
       for (int64_t j = 0; j < p; ++j) {
         const size_t vj = static_cast<size_t>(v * p + j);
-        const size_t sj = static_cast<size_t>(j);
-        dps[vj] = rot_cos[sj] * gm[1 + j];
-        dpc[vj] = -(rot_sin[sj] * gm[1 + j]);
-        drc[sj] += psin[vj] * gm[1 + j];
-        drs[sj] -= pcos[vj] * gm[1 + j];
+        dps[vj] = rot_cos[j] * gm[1 + j];
+        dpc[vj] = -(rot_sin[j] * gm[1 + j]);
+        drc[static_cast<size_t>(j)] += psin[j] * gm[1 + j];
+        drs[static_cast<size_t>(j)] -= pcos[j] * gm[1 + j];
       }
     }
     for (int64_t j = 0; j < p; ++j) {
@@ -330,23 +322,22 @@ void SumTape::TimeBackward(float* g) const {
 Tensor TemporalPropagation::ForwardSum(
     const Tensor& x, const std::vector<graph::TemporalEdge>& edge_order,
     double max_time) const {
+  const tensor::Kernels& ker = tensor::TrainingKernels();
   auto tape = std::make_shared<SumTape>();
   SumTape& s = *tape;
   const int64_t n = x.size(0);
   const int64_t e = config_.embed_dim;
   const int64_t td = time_ != nullptr ? config_.time_dim : 0;
-  const int64_t p = td - 1;
+  const int64_t sd = td > 0 ? time_state_dim() : 0;
   const int64_t width = e + td;
   const int64_t m = static_cast<int64_t>(edge_order.size());
   const bool stabilize = config_.stabilize_sum;
-  const bool invariant =
-      time_ != nullptr && config_.time_basis == TimeBasis::kInvariant;
   s.n = n;
   s.e = e;
   s.td = td;
   s.width = width;
   s.stabilize = stabilize;
-  s.invariant = invariant;
+  s.invariant = invariant();
 
   std::vector<Tensor> inputs = {x};
   if (time_ != nullptr) {
@@ -370,120 +361,50 @@ Tensor TemporalPropagation::ForwardSum(
     s.src[static_cast<size_t>(i)] = edge.src;
     s.dst[static_cast<size_t>(i)] = edge.dst;
     s.t[static_cast<size_t>(i)] = static_cast<float>(
-        invariant ? edge.time : NormalizeTime(config_, edge.time, max_time));
+        s.invariant ? edge.time : NormalizeTime(config_, edge.time, max_time));
   }
   if (record && stabilize) {
     s.xsteps = util::AcquireBuffer(static_cast<size_t>(m * e));
-    if (td > 0 && !invariant) {
+    if (td > 0 && !s.invariant) {
       s.msteps = util::AcquireBuffer(static_cast<size_t>(m * td));
     }
   }
-  if (invariant) {
-    s.psin = util::AcquireBuffer(static_cast<size_t>(n * p));
-    s.pcos = util::AcquireBuffer(static_cast<size_t>(n * p));
-    s.tsum = util::AcquireBuffer(static_cast<size_t>(n));
-    s.count = util::AcquireBuffer(static_cast<size_t>(n));
-    s.rot_cos = util::AcquireBuffer(static_cast<size_t>(p));
-    s.rot_sin = util::AcquireBuffer(static_cast<size_t>(p));
-  }
 
-  // Row v of the output holds X-hat[v] in columns [0, e) and, in the
-  // absolute basis, M-hat[v] in [e, width). Every float expression below is
-  // the one the per-edge ops computed (Add, Tanh, Time2Vec::Forward's
-  // Scale/Add/Sin, the correction's Scale/Mul/Sub), in the same order.
-  std::vector<float> out = util::AcquireBuffer(static_cast<size_t>(n * width));
+  // The fold runs the steps serving runs, on the training table: X-hat
+  // [n, e] and the accumulator [n, sd] advance per edge, then one readout
+  // row per node.
+  std::vector<float> xs = util::AcquireBuffer(static_cast<size_t>(n * e));
   const float* xd = x.data().data();
-  for (int64_t v = 0; v < n; ++v) {
-    std::copy(xd + v * e, xd + (v + 1) * e, out.data() + v * width);
-  }
-  const float* w0 = td > 0 ? time_->w0().data().data() : nullptr;
-  const float* phi0 = td > 0 ? time_->phi0().data().data() : nullptr;
-  const float* w = td > 0 ? time_->w().data().data() : nullptr;
-  const float* phi = td > 0 ? time_->phi().data().data() : nullptr;
+  std::copy(xd, xd + n * e, xs.begin());
+  s.acc = util::AcquireBuffer(static_cast<size_t>(n * sd));
+  PropagationScratch scratch(config_);
   for (int64_t i = 0; i < m; ++i) {
     const int64_t v = s.dst[static_cast<size_t>(i)];
-    const float* xu = out.data() + s.src[static_cast<size_t>(i)] * width;
-    float* xv = out.data() + v * width;
-    // Eq. (3): the target absorbs the source's current state. With
-    // stabilize_sum each step is squashed so dense graphs cannot blow up.
-    // A self-loop doubles the row.
-    for (int64_t j = 0; j < e; ++j) {
-      const float sum = xu[j] + xv[j];
-      xv[j] = stabilize ? std::tanh(sum) : sum;
-    }
+    float* xv = xs.data() + v * e;
+    SumEdgeStep(ker, xs.data() + s.src[static_cast<size_t>(i)] * e, xv);
     if (!s.xsteps.empty()) {
       std::copy(xv, xv + e, s.xsteps.data() + i * e);
     }
-    if (td == 0) {
-      continue;
-    }
-    const float t = s.t[static_cast<size_t>(i)];
-    if (invariant) {
-      // Eq. (4) in the invariant basis: accumulate the raw-time phasor
-      // sin/cos(w t + phi), Σt and the count; the max-time coupling is
-      // deferred to the correction below. Stabilization becomes the mean
-      // at readout — a per-step squash would destroy the rotation identity.
-      float* ps = s.psin.data() + v * p;
-      float* pc = s.pcos.data() + v * p;
-      for (int64_t j = 0; j < p; ++j) {
-        const float theta = w[j] * t + phi[j];
-        ps[j] = std::sin(theta) + ps[j];
-        pc[j] = std::cos(theta) + pc[j];
-      }
-      s.tsum[static_cast<size_t>(v)] = t + s.tsum[static_cast<size_t>(v)];
-      s.count[static_cast<size_t>(v)] = 1.0f + s.count[static_cast<size_t>(v)];
-    } else {
-      // Eq. (4): accumulate the interaction-time encoding f(t).
-      float* mv = xv + e;
-      mv[0] = (w0[0] * t + phi0[0]) + mv[0];
-      for (int64_t j = 0; j < p; ++j) {
-        mv[1 + j] = std::sin(w[j] * t + phi[j]) + mv[1 + j];
-      }
-      if (stabilize) {
-        for (int64_t j = 0; j < td; ++j) {
-          mv[j] = std::tanh(mv[j]);
-        }
-        if (!s.msteps.empty()) {
-          std::copy(mv, mv + td, s.msteps.data() + i * td);
-        }
+    if (td > 0) {
+      float* mv = s.acc.data() + v * sd;
+      TimeStep(ker, s.t[static_cast<size_t>(i)], mv, scratch);
+      if (!s.msteps.empty()) {
+        std::copy(mv, mv + td, s.msteps.data() + i * td);
       }
     }
   }
-  if (invariant) {
-    // Deferred max-time correction (DESIGN.md §4.3), shared across nodes:
-    // linear channel w0 (Σt) s + phi0 k with s = time_scale/max_time, and
-    // phasor rotation by w·max_time so row v reads Σ sin(w (t−T) + phi).
-    s.sf = static_cast<float>((config_.normalize_time && max_time > 0.0)
-                                  ? config_.time_scale / max_time
-                                  : 1.0);
+  if (s.invariant) {
+    s.rot = util::AcquireBuffer(static_cast<size_t>(2 * (td - 1)));
+    s.sf = InvariantCorrection(ker, max_time, s.rot.data());
     s.tmax = static_cast<float>(max_time);
-    for (int64_t j = 0; j < p; ++j) {
-      s.rot_cos[static_cast<size_t>(j)] = std::cos(w[j] * s.tmax);
-      s.rot_sin[static_cast<size_t>(j)] = std::sin(w[j] * s.tmax);
-    }
-    for (int64_t v = 0; v < n; ++v) {
-      float* mv = out.data() + v * width + e;
-      const float* ps = s.psin.data() + v * p;
-      const float* pc = s.pcos.data() + v * p;
-      const float k = s.count[static_cast<size_t>(v)];
-      const float sn = s.tsum[static_cast<size_t>(v)] * s.sf;
-      mv[0] = w0[0] * sn + phi0[0] * k;
-      for (int64_t j = 0; j < p; ++j) {
-        mv[1 + j] = ps[j] * s.rot_cos[static_cast<size_t>(j)] -
-                    pc[j] * s.rot_sin[static_cast<size_t>(j)];
-      }
-      if (stabilize) {
-        const float invk = k > 0.0f ? 1.0f / k : 1.0f;
-        for (int64_t j = 0; j < td; ++j) {
-          mv[j] = mv[j] * invk;
-        }
-      }
-    }
   }
-  // Eq. (5): H = tanh(X-hat ++ M).
-  for (float& value : out) {
-    value = std::tanh(value);
+  std::vector<float> out = util::AcquireBuffer(static_cast<size_t>(n * width));
+  for (int64_t v = 0; v < n; ++v) {
+    FinalizeRow(ker, xs.data() + v * e,
+                td > 0 ? s.acc.data() + v * sd : nullptr,
+                s.rot.data(), s.sf, out.data() + v * width);
   }
+  util::ReleaseBuffer(std::move(xs));
 
   return tensor::MakeResultImpl(
       "SumPropagation", inputs, {n, width}, std::move(out),
@@ -506,94 +427,151 @@ Tensor TemporalPropagation::EmbedInitial(
   return embed_.Forward(graph.FeatureMatrix());
 }
 
+void TemporalPropagation::SumEdgeStep(const tensor::Kernels& ker,
+                                      const float* src, float* dst) const {
+  // Elementwise over the same index, so src may alias dst.
+  if (config_.stabilize_sum) {
+    ker.tanh_add(dst, src, config_.embed_dim);
+  } else {
+    ker.add_accumulate(dst, src, config_.embed_dim);
+  }
+}
+
+void TemporalPropagation::TimeStep(const tensor::Kernels& ker, float t,
+                                   float* m,
+                                   PropagationScratch& scratch) const {
+  const int64_t td = config_.time_dim;
+  const float* w = time_->w().data().data();
+  const float* phi = time_->phi().data().data();
+  float* enc = scratch.time_;
+  if (invariant()) {
+    // Raw-time phasor into [Σt, k, A.., B..]; max_time is never read, so a
+    // later max move never invalidates this fold. Stabilization becomes the
+    // mean at readout: a per-step squash would break the rotation identity.
+    const int64_t p = td - 1;
+    ker.phasor(enc, enc + p, t, w, phi, p);
+    m[0] = t + m[0];
+    m[1] = 1.0f + m[1];
+    ker.add_accumulate(m + 2, enc, p);
+    ker.add_accumulate(m + td + 1, enc + p, p);
+    return;
+  }
+  ker.time2vec(enc, t, time_->w0().data().data(), time_->phi0().data().data(),
+               w, phi, td);
+  if (config_.stabilize_sum) {
+    ker.tanh_add(m, enc, td);
+  } else {
+    ker.add_accumulate(m, enc, td);
+  }
+}
+
+float TemporalPropagation::InvariantCorrection(const tensor::Kernels& ker,
+                                               double max_time,
+                                               float* rotation) const {
+  // DESIGN.md §4.3: rotating the phasor sums by w·T makes row v read
+  // Σ sin(w (t − T) + phi); the linear channel rescales by time_scale / T.
+  const int64_t p = config_.time_dim - 1;
+  ker.rotation(rotation, rotation + p, static_cast<float>(max_time),
+               time_->w().data().data(), p);
+  return static_cast<float>((config_.normalize_time && max_time > 0.0)
+                                ? config_.time_scale / max_time
+                                : 1.0);
+}
+
+void TemporalPropagation::FinalizeRow(const tensor::Kernels& ker,
+                                      const float* x, const float* m,
+                                      const float* rotation, float sf,
+                                      float* out) const {
+  const int64_t d = config_.embed_dim;
+  ker.copy(out, x, d);
+  if (!has_time_accumulator()) {
+    ker.tanh_inplace(out, d);
+    return;
+  }
+  const int64_t td = config_.time_dim;
+  if (!invariant()) {
+    ker.copy(out + d, m, td);
+  } else {
+    // Linear channel w0·(Σt·sf) + phi0·k, each product rounded, then the
+    // phasor rotation (A·cos) − (B·sin), then the mean under stabilize_sum.
+    const int64_t p = td - 1;
+    const float lin_w = time_->w0().data()[0] * (m[0] * sf);
+    const float lin_p = time_->phi0().data()[0] * m[1];
+    out[d] = lin_w + lin_p;
+    ker.rotate_pairs(out + d + 1, m + 2, m + td + 1, rotation, rotation + p,
+                     p);
+    if (config_.stabilize_sum) {
+      ker.scale_inplace(out + d, m[1] > 0.0f ? 1.0f / m[1] : 1.0f, td);
+    }
+  }
+  ker.tanh_inplace(out, d + td);
+}
+
 void TemporalPropagation::PropagateEdgeState(
     Tensor& x, const graph::TemporalEdge& e, double max_time, double prev_time,
     PropagationScratch& scratch) const {
   TPGNN_CHECK(config_.use_temporal_propagation());
-  TPGNN_CHECK(plans_ != nullptr);
-  // Eq. (3) / Eq. (6), as the compiled edge program. SUM reads src[i] and
-  // dst[i] of the same index only, so a self-loop (src aliasing dst) doubles
-  // the row exactly like Add; the GRU program stages the message into the
-  // arena before touching dst, so self-loops are safe there too.
-  const auto params = PlanParams();
-  tensor::plan::RunContext ctx;
-  ctx.src = RowSpanOf(x, e.src).data;
-  ctx.dst = MutableRowSpan(x, e.dst).data;
-  if (updater_ != nullptr && time_ != nullptr) {
-    ctx.t = static_cast<float>(
-        config_.time_basis == TimeBasis::kInvariant
-            ? e.time - prev_time
-            : NormalizeTime(config_, e.time, max_time));
+  const tensor::Kernels& ker = tensor::ActiveKernels();
+  const float* src = RowSpanOf(x, e.src).data;
+  float* dst = MutableRowSpan(x, e.dst).data;
+  if (updater_ == nullptr) {
+    SumEdgeStep(ker, src, dst);
+    return;
   }
-  scratch.exec.Run(plans_->edge, params.data(), ctx);
+  // Eq. (6): dst <- GRU(dst, [src ++ f(t)]), as one-row projections and the
+  // shared GruCell::Step. The message is staged before dst is written, so a
+  // self-loop reads the old row.
+  const int64_t d = config_.embed_dim;
+  float* message = scratch.message_;
+  ker.copy(message, src, d);
+  if (time_ != nullptr) {
+    const float t = static_cast<float>(
+        invariant() ? e.time - prev_time
+                    : NormalizeTime(config_, e.time, max_time));
+    ker.time2vec(message + d, t, time_->w0().data().data(),
+                 time_->phi0().data().data(), time_->w().data().data(),
+                 time_->phi().data().data(), config_.time_dim);
+  }
+  float* z = scratch.z_;
+  float* r = scratch.r_;
+  float* xn = scratch.xn_;
+  ker.zero(z, d);
+  ker.zero(r, d);
+  ker.zero(xn, d);
+  updater_->ProjectInputs(ker, message, 1, z, r, xn);
+  updater_->Step(ker, dst, z, r, xn, scratch.hu_, scratch.n_, dst);
 }
 
 void TemporalPropagation::AccumulateEdgeTime(
     Tensor& m, const graph::TemporalEdge& e, double max_time,
     PropagationScratch& scratch) const {
   TPGNN_CHECK(has_time_accumulator());
-  TPGNN_CHECK(plans_ != nullptr);
-  // Eq. (4), as the compiled time program. Invariant basis: the raw-time
-  // phasor accumulates into [Σt, k, A.., B..]; max_time is deliberately
-  // unread, so a later max move never invalidates this fold (the correction
-  // happens in FinalizeState). Absolute basis: m += f(t_norm), optionally
-  // squashed. Both associate like ForwardSum's f(t) + M-hat[v].
-  const auto params = PlanParams();
-  tensor::plan::RunContext ctx;
-  ctx.m = MutableRowSpan(m, e.dst).data;
-  ctx.t = static_cast<float>(
-      config_.time_basis == TimeBasis::kInvariant
-          ? e.time
-          : NormalizeTime(config_, e.time, max_time));
-  scratch.exec.Run(plans_->time, params.data(), ctx);
+  TimeStep(tensor::ActiveKernels(),
+           static_cast<float>(invariant()
+                                  ? e.time
+                                  : NormalizeTime(config_, e.time, max_time)),
+           MutableRowSpan(m, e.dst).data, scratch);
 }
 
 Tensor TemporalPropagation::FinalizeState(const Tensor& x, const Tensor& m,
-                                          double max_time) const {
-  TPGNN_CHECK(plans_ != nullptr);
+                                          double max_time,
+                                          PropagationScratch& scratch) const {
   const bool with_time = has_time_accumulator();
   if (with_time) {
     TPGNN_CHECK(m.defined());
   }
+  const tensor::Kernels& ker = tensor::ActiveKernels();
   const int64_t n = x.size(0);
-  const int64_t time_dim = with_time ? config_.time_dim : 0;
-  const bool invariant =
-      with_time && config_.time_basis == TimeBasis::kInvariant;
-
-  // Per-call constants for the invariant correction (DESIGN.md §4.3): the
-  // linear-channel rescale sf rides in ctx.t, the rotation table
-  // [cos(w·T) ++ sin(w·T)] in ctx.aux. Every float expression the finalize
-  // program runs mirrors ForwardSum's correction (w0·s + phi0·k for the
-  // linear channel, products and a difference against the shared rotation
-  // row for the periodic ones), keeping the two paths bit-identical in
-  // scalar mode.
-  tensor::plan::RunContext ctx;
-  std::vector<float> rot;
-  if (invariant) {
-    const int64_t periodic = time_dim - 1;
-    rot.resize(static_cast<size_t>(2 * periodic));
-    time_->EvalRotationInto(static_cast<float>(max_time), rot.data(),
-                            rot.data() + periodic);
-    ctx.aux = rot.data();
-    ctx.t = static_cast<float>(
-        (config_.normalize_time && max_time > 0.0)
-            ? config_.time_scale / max_time
-            : 1.0);
-  }
-
-  // The finalize program plans no arena temps (it writes the output row
-  // directly), so a local executor stays allocation-free.
-  Tensor out = Tensor::Zeros({n, config_.embed_dim + time_dim});
-  const auto params = PlanParams();
-  tensor::plan::PlanExecutor exec;
+  float* rotation = scratch.rotation_;
+  const float sf = with_time && invariant()
+                       ? InvariantCorrection(ker, max_time, rotation)
+                       : 1.0f;
+  Tensor out = Tensor::Zeros(
+      {n, config_.embed_dim + (with_time ? config_.time_dim : 0)});
   for (int64_t v = 0; v < n; ++v) {
-    ctx.src = RowSpanOf(x, v).data;
-    ctx.dst = MutableRowSpan(out, v).data;
-    if (with_time) {
-      // The finalize program only reads the accumulator row.
-      ctx.m = const_cast<float*>(RowSpanOf(m, v).data);
-    }
-    exec.Run(plans_->finalize, params.data(), ctx);
+    FinalizeRow(ker, RowSpanOf(x, v).data,
+                with_time ? RowSpanOf(m, v).data : nullptr, rotation, sf,
+                MutableRowSpan(out, v).data);
   }
   return out;
 }
@@ -602,17 +580,14 @@ Tensor TemporalPropagation::ForwardInference(
     Tensor x, const std::vector<graph::TemporalEdge>& edge_order,
     double max_time) const {
   // Zero-copy propagation: node state lives in the [n, dim] matrices and is
-  // updated in place per edge by the compiled programs, so no per-edge
-  // tensors or tape nodes exist. Every program op mirrors the training
-  // forward (ForwardSum, or the GRU updater's recorded steps) — bit-identical
-  // to it in scalar SIMD mode, kernel-ulp-close otherwise — and serve/'s
-  // incremental fold, built on the same steps, is bit-identical to this path
-  // in every mode.
+  // updated in place per edge by the single-edge API, so no per-edge tensors
+  // or tape nodes exist. serve/'s incremental fold makes the same calls, so
+  // it is bit-identical to this path in every mode.
   Tensor m;
   if (has_time_accumulator()) {
     m = Tensor::Zeros({x.size(0), time_state_dim()});
   }
-  PropagationScratch scratch;
+  PropagationScratch scratch(config_);
   double prev_time = 0.0;
   for (const graph::TemporalEdge& e : edge_order) {
     PropagateEdgeState(x, e, max_time, prev_time, scratch);
@@ -621,7 +596,7 @@ Tensor TemporalPropagation::ForwardInference(
     }
     prev_time = e.time;
   }
-  return FinalizeState(x, m, max_time);
+  return FinalizeState(x, m, max_time, scratch);
 }
 
 }  // namespace tpgnn::core

@@ -1,7 +1,7 @@
 #ifndef TPGNN_CORE_TEMPORAL_PROPAGATION_H_
 #define TPGNN_CORE_TEMPORAL_PROPAGATION_H_
 
-#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -11,8 +11,7 @@
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "nn/time_encoding.h"
-#include "tensor/executor.h"
-#include "tensor/plan.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -24,12 +23,33 @@
 
 namespace tpgnn::core {
 
-// Reusable per-loop state for the single-edge propagation steps below. The
-// executor's arena holds every temporary the compiled per-edge programs
-// need; after the first edge it is warm and the per-edge path performs zero
-// heap allocation.
-struct PropagationScratch {
-  tensor::plan::PlanExecutor exec;
+// Fixed scratch for the single-edge steps below: one buffer, sized from the
+// config at construction, holding the GRU updater's staged message and gate
+// rows, the SUM time step's encoding row (f(t), or the phasor's sin ++ cos)
+// and the readout's rotation table. A fold through one scratch performs no
+// heap allocation. Its bytes count in the process-wide accounting behind
+// arena_bytes_peak (tensor/executor.h). One fold at a time:
+// serve::SessionShard keeps one per shard and uses it under the shard's
+// mutex; ForwardInference and ForwardSum make their own.
+class PropagationScratch {
+ public:
+  explicit PropagationScratch(const TpGnnConfig& config);
+  ~PropagationScratch();
+  PropagationScratch(const PropagationScratch&) = delete;
+  PropagationScratch& operator=(const PropagationScratch&) = delete;
+
+ private:
+  friend class TemporalPropagation;
+  std::vector<float> buffer_;
+  // GRU updater only: message [embed_dim + time_dim], the rest [embed_dim].
+  float* message_ = nullptr;
+  float* z_ = nullptr;
+  float* r_ = nullptr;
+  float* xn_ = nullptr;
+  float* hu_ = nullptr;
+  float* n_ = nullptr;
+  float* time_ = nullptr;      // [2 time_dim]
+  float* rotation_ = nullptr;  // cos(w T) ++ sin(w T), [2 time_dim].
 };
 
 class TemporalPropagation : public nn::Module {
@@ -59,8 +79,8 @@ class TemporalPropagation : public nn::Module {
   // with a final FinalizeState at score time. Because ForwardInference
   // below is implemented with exactly these calls, an incremental fold over
   // the same chronological edge order is bit-identical to the offline
-  // forward. All three require gradients to be disabled (NoGradGuard) —
-  // they mutate tensor storage in place through row views.
+  // forward. They run the active kernel table and mutate tensor storage in
+  // place through row views, so gradients must be disabled (NoGradGuard).
 
   // Eq. (1): the initial embedded node-state matrix [n, embed_dim]. This is
   // the per-session one-off cost (one GEMM); the per-edge steps mutate a
@@ -97,7 +117,8 @@ class TemporalPropagation : public nn::Module {
   // independent of the edge count. Returns a fresh tensor; inputs are not
   // mutated.
   tensor::Tensor FinalizeState(const tensor::Tensor& x, const tensor::Tensor& m,
-                               double max_time) const;
+                               double max_time,
+                               PropagationScratch& scratch) const;
 
   // True when the folded node state is coupled to the session's max
   // timestamp, i.e. a max-time change invalidates previously folded steps:
@@ -135,28 +156,48 @@ class TemporalPropagation : public nn::Module {
                             double max_time) const;
 
   // Allocation-free propagation used when gradients are disabled: node state
-  // is mutated in place through zero-copy row views (tensor/tensor.h),
-  // running the compiled per-edge programs (tensor/plan.h) against the
-  // scratch arena — the same kernels, in the same order, as the recorded
-  // path, so results are bit-identical to Forward in scalar SIMD mode and
-  // kernel-ulp-close under a vector ISA (tensor/kernels.h). `x` is the
-  // freshly embedded [n, embed_dim] matrix, consumed as the initial state.
+  // is mutated in place through zero-copy row views (tensor/tensor.h) by the
+  // single-edge API above, over the active kernel table — bit-identical to
+  // Forward in scalar SIMD mode and kernel-ulp-close under a vector ISA
+  // (tensor/kernels.h). `x` is the freshly embedded [n, embed_dim] matrix,
+  // consumed as the initial state.
   tensor::Tensor ForwardInference(
       tensor::Tensor x, const std::vector<graph::TemporalEdge>& edge_order,
       double max_time) const;
 
-  // The parameter table the compiled programs read (slot -> storage). Built
-  // per call — checkpoint loading may reseat parameter storage, so pointers
-  // are never cached across calls.
-  std::array<const float*, tensor::plan::kNumParamSlots> PlanParams() const;
+  // The SUM updater's steps. ForwardSum (on tensor::TrainingKernels()),
+  // ForwardInference and the serving fold (on the active table, through the
+  // single-edge API) all run these three over raw rows; nothing else
+  // decides what one SUM edge or one readout row computes.
+  //
+  // Eq. (3): dst <- src + dst, tanh-squashed under stabilize_sum. A
+  // self-loop (src == dst) doubles the row.
+  void SumEdgeStep(const tensor::Kernels& ker, const float* src,
+                   float* dst) const;
+  // Eq. (4) into the accumulator row `m` at time argument `t` (the
+  // normalized time in the absolute basis, the raw time in the invariant
+  // one). Absolute: m <- f(t) + m, optionally squashed. Invariant: the row
+  // [Σt, k, A_1.., B_1..] takes t, 1, sin(w t + phi) and cos(w t + phi).
+  void TimeStep(const tensor::Kernels& ker, float t, float* m,
+                PropagationScratch& scratch) const;
+  // Eq. (5) for one node: out <- tanh(x ++ M(m)), or tanh(x) without the
+  // accumulator (`m` unread). In the invariant basis M reads `rotation` [cos(w
+  // T) ++ sin(w T)] and the linear rescale `sf` from InvariantCorrection.
+  void FinalizeRow(const tensor::Kernels& ker, const float* x, const float* m,
+                   const float* rotation, float sf, float* out) const;
+  // The invariant readout's per-call constants: writes the rotation table
+  // for `max_time` and returns the linear channel's rescale sf.
+  float InvariantCorrection(const tensor::Kernels& ker, double max_time,
+                            float* rotation) const;
+  // True in the invariant basis with a Time2Vec encoder.
+  bool invariant() const {
+    return time_ != nullptr && config_.time_basis == TimeBasis::kInvariant;
+  }
 
   TpGnnConfig config_;
   nn::Linear embed_;                      // Eq. (1).
   std::unique_ptr<nn::Time2Vec> time_;    // Eq. (2); null if disabled.
   std::unique_ptr<nn::GruCell> updater_;  // Eq. (6); null for SUM.
-  // Compiled per-edge/readout programs for this configuration, shared
-  // process-wide through plan::PlanCache.
-  std::shared_ptr<const tensor::plan::CompiledPlans> plans_;
 };
 
 // Normalizes edge timestamps to [0, config.time_scale] when

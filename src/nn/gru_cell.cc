@@ -1,7 +1,6 @@
 #include "nn/gru_cell.h"
 
 #include <array>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -207,7 +206,7 @@ Tensor GruCell::ForwardSequence(const Tensor& xs,
   TPGNN_CHECK_GT(m, 0);
   const int64_t k = input_size_;
   const int64_t d = hidden_size_;
-  const tensor::Kernels& ker = tensor::ActiveKernels();
+  const tensor::Kernels& ker = tensor::TrainingKernels();
   auto tape = std::make_shared<GruSequenceTape>();
   tape->m = m;
   tape->k = k;
@@ -220,49 +219,26 @@ Tensor GruCell::ForwardSequence(const Tensor& xs,
   tape->n = util::AcquireBuffer(static_cast<size_t>(m * d));
   std::vector<float> xn = util::AcquireBuffer(static_cast<size_t>(m * d));
 
-  // The input projections of every step at once. Row i of z, r and xn is
-  // x_i·W, the partial sum step i's Affine2/Affine holds after its first
-  // GEMM: the GEMM kernels give a row the same sums whatever the row count.
-  const float* x = xs.data().data();
-  ker.gemm_accumulate(x, wz_.data().data(), tape->z.data(), m, k, d);
-  ker.gemm_accumulate(x, wr_.data().data(), tape->r.data(), m, k, d);
-  ker.gemm_accumulate(x, wn_.data().data(), xn.data(), m, k, d);
-  const float* bz = bz_.data().data();
-  const float* br = br_.data().data();
-  const float* bn = bn_.data().data();
+  // Every step's input projections at once, straight into the tape's gate
+  // rows, then one Step per row: Step leaves the gates, h·Un and the
+  // candidate in the rows the reverse sweep reads.
+  ProjectInputs(ker, xs.data().data(), m, tape->z.data(), tape->r.data(),
+                xn.data());
   std::vector<float> out = util::AcquireBuffer(static_cast<size_t>(d));
   for (int64_t i = 0; i < m; ++i) {
     const float* h = tape->h.data() + i * d;
-    float* z = tape->z.data() + i * d;
-    float* r = tape->r.data() + i * d;
-    float* hu = tape->hu.data() + i * d;
-    float* n = tape->n.data() + i * d;
-    const float* xni = xn.data() + i * d;
     float* next = tape->h.data() + (i + 1) * d;
-    // Forward's expressions: Sigmoid(Affine2(x, W, h, U, b)),
-    // Tanh(MulAdd(r, MatMul(h, Un), Affine(x, Wn, bn))) and GruBlend.
-    ker.gemm_accumulate(h, uz_.data().data(), z, 1, d, d);
-    for (int64_t j = 0; j < d; ++j) {
-      z[j] = 1.0f / (1.0f + std::exp(-(z[j] + bz[j])));
-    }
-    ker.gemm_accumulate(h, ur_.data().data(), r, 1, d, d);
-    for (int64_t j = 0; j < d; ++j) {
-      r[j] = 1.0f / (1.0f + std::exp(-(r[j] + br[j])));
-    }
-    ker.gemm_accumulate(h, un_.data().data(), hu, 1, d, d);
-    for (int64_t j = 0; j < d; ++j) {
-      n[j] = std::tanh(r[j] * hu[j] + (xni[j] + bn[j]));
-      next[j] = z[j] * h[j] + (1.0f - z[j]) * n[j];
-    }
+    Step(ker, h, tape->z.data() + i * d, tape->r.data() + i * d,
+         xn.data() + i * d, tape->hu.data() + i * d, tape->n.data() + i * d,
+         next);
     if (tape->mean) {
       // Concat + MeanAxis(0): sum in step order, scale once below.
-      for (int64_t j = 0; j < d; ++j) out[static_cast<size_t>(j)] += next[j];
+      ker.add_accumulate(out.data(), next, d);
     }
   }
   util::ReleaseBuffer(std::move(xn));
   if (tape->mean) {
-    const float scale = 1.0f / static_cast<float>(m);
-    for (float& v : out) v = v * scale;
+    ker.scale_inplace(out.data(), 1.0f / static_cast<float>(m), d);
   } else {
     const float* last = tape->h.data() + m * d;
     std::copy(last, last + d, out.begin());
@@ -281,37 +257,32 @@ Tensor GruCell::ForwardSequence(const Tensor& xs,
       });
 }
 
-void GruCell::StepInto(const float* x, const float* h, float* out,
-                       GruScratch& s) const {
-  const int64_t d = hidden_size_;
+void GruCell::ProjectInputs(const tensor::Kernels& ker, const float* x,
+                            int64_t rows, float* z, float* r,
+                            float* xn) const {
   const int64_t k = input_size_;
-  const tensor::Kernels& ker = tensor::ActiveKernels();
-  s.z.assign(static_cast<size_t>(d), 0.0f);
-  s.r.assign(static_cast<size_t>(d), 0.0f);
-  s.n.assign(static_cast<size_t>(d), 0.0f);
-  s.hu.assign(static_cast<size_t>(d), 0.0f);
-  s.xn.assign(static_cast<size_t>(d), 0.0f);
+  const int64_t d = hidden_size_;
+  ker.gemm_accumulate(x, wz_.data().data(), z, rows, k, d);
+  ker.gemm_accumulate(x, wr_.data().data(), r, rows, k, d);
+  ker.gemm_accumulate(x, wn_.data().data(), xn, rows, k, d);
+}
 
-  // Gates: mirror Affine2's kernel order (x*W accumulated first, then h*U,
-  // bias last). GEMM is bitwise across SIMD modes; the sigmoid/tanh maps are
-  // in the kernel-ulp tolerance class (tensor/kernels.h), so in scalar mode
-  // the values match the recorded Forward bitwise.
-  ker.gemm_accumulate(x, wz_.data().data(), s.z.data(), 1, k, d);
-  ker.gemm_accumulate(h, uz_.data().data(), s.z.data(), 1, d, d);
-  ker.sigmoid_bias(s.z.data(), bz_.data().data(), d);
-  ker.gemm_accumulate(x, wr_.data().data(), s.r.data(), 1, k, d);
-  ker.gemm_accumulate(h, ur_.data().data(), s.r.data(), 1, d, d);
-  ker.sigmoid_bias(s.r.data(), br_.data().data(), d);
-
-  // Candidate: tanh(r o (h Un) + (x Wn + bn)), associating exactly like
-  // Tanh(MulAdd(r, MatMul(h, un), Affine(x, wn, bn))).
-  ker.gemm_accumulate(h, un_.data().data(), s.hu.data(), 1, d, d);
-  ker.gemm_accumulate(x, wn_.data().data(), s.xn.data(), 1, k, d);
-  ker.gru_candidate(s.n.data(), s.r.data(), s.hu.data(), s.xn.data(),
-                    bn_.data().data(), d);
-
-  // Blend reads h[j] before writing out[j], so out may alias h.
-  ker.gru_blend(out, s.z.data(), h, s.n.data(), d);
+void GruCell::Step(const tensor::Kernels& ker, const float* h, float* z,
+                   float* r, const float* xn, float* hu, float* n,
+                   float* out) const {
+  const int64_t d = hidden_size_;
+  // Sigmoid(Affine2(x, W, h, U, b)): x·W is already in the row, h·U adds to
+  // it, the bias and the sigmoid come last.
+  ker.gemm_accumulate(h, uz_.data().data(), z, 1, d, d);
+  ker.sigmoid_bias(z, bz_.data().data(), d);
+  ker.gemm_accumulate(h, ur_.data().data(), r, 1, d, d);
+  ker.sigmoid_bias(r, br_.data().data(), d);
+  // Tanh(MulAdd(r, MatMul(h, Un), Affine(x, Wn, bn))).
+  ker.zero(hu, d);
+  ker.gemm_accumulate(h, un_.data().data(), hu, 1, d, d);
+  ker.gru_candidate(n, r, hu, xn, bn_.data().data(), d);
+  // GruBlend reads h[j] before writing out[j], so out may alias h.
+  ker.gru_blend(out, z, h, n, d);
 }
 
 }  // namespace tpgnn::nn

@@ -1,9 +1,8 @@
 #ifndef TPGNN_NN_GRU_CELL_H_
 #define TPGNN_NN_GRU_CELL_H_
 
-#include <vector>
-
 #include "nn/module.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -14,12 +13,6 @@ namespace tpgnn::nn {
 enum class SequenceReadout {
   kLastState,
   kMeanState,
-};
-
-// Reusable scratch for GruCell::StepInto; holding one per propagation loop
-// keeps the per-edge inference step allocation-free after the first edge.
-struct GruScratch {
-  std::vector<float> z, r, n, hu, xn;
 };
 
 // Gated recurrent unit cell (Cho et al. 2014):
@@ -39,39 +32,35 @@ class GruCell : public Module {
 
   // Runs the cell over the rows of `xs` ([m, input_size], m >= 1) from a
   // zero initial state and returns the `readout` of the states
-  // ([hidden_size]), as one recorded op. The forward computes the values of
-  // m chained Forward calls bit for bit (GEMMs on the active kernel table,
-  // which is bitwise on every ISA; libm sigmoid/tanh) and saves each step's
-  // gates, h·Un, candidate and state for a hand-written reverse sweep
+  // ([hidden_size]), as one recorded op. The forward is ProjectInputs over
+  // every row, then one Step per row on tensor::TrainingKernels() (the
+  // vector GEMM, scalar sigmoid/tanh), so it computes the values of m chained
+  // Forward calls bit for bit in every SIMD mode. It saves each step's gates,
+  // h·Un, candidate and state for a hand-written reverse sweep
   // (DESIGN.md §4.2).
   tensor::Tensor ForwardSequence(const tensor::Tensor& xs,
                                  SequenceReadout readout) const;
 
-  // Raw single-row step: x [input_size], h [hidden_size], out
-  // [hidden_size]. Runs the same GEMM kernels and elementwise formulas as
-  // Forward, in the same order, so the result is bit-identical to the
-  // recorded path. `out` may alias `h` (in-place state update); no
-  // autograd, no heap allocation once `scratch` is warm. The global
-  // extractor's two-phase sweep is pinned bitwise against a per-edge loop
-  // of this step (tests/core/extractor_sweep_test.cc).
-  void StepInto(const float* x, const float* h, float* out,
-                GruScratch& scratch) const;
+  // The gates' input projections of `rows` inputs x [rows, input_size]:
+  // z += x·Wz, r += x·Wr, xn += x·Wn, each [rows, hidden_size] and zeroed by
+  // the caller. A GEMM row gets the same sums whatever the row count, so a
+  // sequence projected at once equals its rows projected one by one.
+  void ProjectInputs(const tensor::Kernels& ker, const float* x, int64_t rows,
+                     float* z, float* r, float* xn) const;
+
+  // The one recurrent step outside the recorded Forward (the extractor sweep,
+  // the GRU-updater fold and ForwardSequence all run it): h' from the state h
+  // and one input's projections. On entry z and r hold x·Wz and x·Wr and xn
+  // holds x·Wn; on exit z and r hold the gates, hu holds h·Un and n the
+  // candidate. Every element takes Forward's expressions in Forward's order
+  // (a gate starts at zero, takes x·W, then h·U, then bias and sigmoid), so
+  // with the scalar maps the step equals Forward bit for bit. Rows are
+  // [hidden_size]; `out` may alias `h`. No allocation.
+  void Step(const tensor::Kernels& ker, const float* h, float* z, float* r,
+            const float* xn, float* hu, float* n, float* out) const;
 
   int64_t input_size() const { return input_size_; }
   int64_t hidden_size() const { return hidden_size_; }
-
-  // Parameter views for the planned per-edge executor (tensor/plan.h): the
-  // compiled GRU program reads the same storage the recorded Forward and
-  // StepInto consume, through the plan's parameter table.
-  const tensor::Tensor& wz() const { return wz_; }
-  const tensor::Tensor& uz() const { return uz_; }
-  const tensor::Tensor& bz() const { return bz_; }
-  const tensor::Tensor& wr() const { return wr_; }
-  const tensor::Tensor& ur() const { return ur_; }
-  const tensor::Tensor& br() const { return br_; }
-  const tensor::Tensor& wn() const { return wn_; }
-  const tensor::Tensor& un() const { return un_; }
-  const tensor::Tensor& bn() const { return bn_; }
 
  private:
   int64_t input_size_;

@@ -42,27 +42,15 @@ Tensor Time2Vec::Forward(const std::vector<float>& ts) const {
   return Stack(rows);
 }
 
-// The Eval* fast paths run the dispatched time-encoding kernels
-// (tensor/kernels.h). All three are in the bitwise parity class on every
-// ISA — the phase w*t + phi keeps the recorded Sin(Add(Scale(w, t), phi))
-// chain's two-step rounding and sin/cos stay libm — so these stay
-// bit-identical to the recorded path in every SIMD mode.
-
+// The raw fast path runs the dispatched time2vec kernel (tensor/kernels.h),
+// which is in the bitwise parity class on every ISA — the phase w*t + phi
+// keeps the recorded Sin(Add(Scale(w, t), phi)) chain's two-step rounding
+// and sin stays libm — so it stays bit-identical to Forward in every SIMD
+// mode.
 void Time2Vec::EvalInto(float t, float* out) const {
   tensor::ActiveKernels().time2vec(out, t, w0_.data().data(),
                                    phi0_.data().data(), w_.data().data(),
                                    phi_.data().data(), dim_);
-}
-
-void Time2Vec::EvalPhasorInto(float t, float* sin_out, float* cos_out) const {
-  tensor::ActiveKernels().phasor(sin_out, cos_out, t, w_.data().data(),
-                                 phi_.data().data(), dim_ - 1);
-}
-
-void Time2Vec::EvalRotationInto(float delta, float* cos_out,
-                                float* sin_out) const {
-  tensor::ActiveKernels().rotation(cos_out, sin_out, delta, w_.data().data(),
-                                   dim_ - 1);
 }
 
 BochnerTimeEncoding::BochnerTimeEncoding(int64_t dim, Rng& rng) : dim_(dim) {

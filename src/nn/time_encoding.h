@@ -28,21 +28,9 @@ class Time2Vec : public Module {
   // bit-identical. No autograd, no allocation.
   void EvalInto(float t, float* out) const;
 
-  // Phasor of the periodic channels at raw time t: sin_out[i] =
-  // sin(w[i] t + phi[i]), cos_out[i] = cos(w[i] t + phi[i]), each dim-1
-  // wide. These are the max-time-invariant accumulands of the
-  // TimeBasis::kInvariant SUM fold (DESIGN.md §4.3): summed per node, a
-  // later shift of the encoder argument by -delta is recovered exactly as
-  // Σ sin(θ - w δ) = (Σ sinθ) cos(w δ) - (Σ cosθ) sin(w δ).
-  void EvalPhasorInto(float t, float* sin_out, float* cos_out) const;
-
-  // The rotation coefficients for a shift by `delta`: cos_out[i] =
-  // cos(w[i] delta), sin_out[i] = sin(w[i] delta) (no phase offset — the
-  // phase lives inside the accumulated phasors).
-  void EvalRotationInto(float delta, float* cos_out, float* sin_out) const;
-
-  // Parameter views for the training fold (TemporalPropagation::ForwardSum),
-  // which must consume the same parameters the raw kernels read.
+  // Parameter views for the propagation steps
+  // (core::TemporalPropagation), which run the time-encoding kernels on
+  // the same parameters Forward reads.
   const tensor::Tensor& w0() const { return w0_; }
   const tensor::Tensor& phi0() const { return phi0_; }
   const tensor::Tensor& w() const { return w_; }

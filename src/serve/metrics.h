@@ -68,9 +68,11 @@
   /* Process memory high-water marks (soak harness, DESIGN.md §4.9),          \
      written only by Metrics::UpdateResourcePeaks at checkpoint rate (never   \
      the per-event hot path), zero until its first probe: the buffer pool's   \
-     live-bytes peak, its currently cached bytes, the summed planned-executor \
-     arena peak, and the kernel's RSS high-water mark (VmHWM). Peaks are      \
-     gauges, so they merge by max; cached bytes sum (parked per process). */  \
+     live-bytes peak, its currently cached bytes, the summed fold-scratch     \
+     peak (core::PropagationScratch bytes: one per shard plus one per offline \
+     forward in flight), and the kernel's RSS high-water mark (VmHWM). Peaks  \
+     are gauges, so they merge by max; cached bytes sum (parked per process). \
+   */                                                                         \
   X(pool_bytes_peak, kMax)                                                    \
   X(pool_bytes_cached, kSum)                                                  \
   X(arena_bytes_peak, kMax)                                                   \
@@ -167,7 +169,7 @@ class Metrics {
   // max (CAS max over double bits; monotone for non-negative doubles).
   void RecordShadowDelta(double abs_delta);
 
-  // Probes the buffer pool, the planned-executor arena accounting, and the
+  // Probes the buffer pool, the fold-scratch byte accounting, and the
   // kernel's VmHWM, folding the readings into the memory gauges (peaks
   // only ever rise; bytes_cached tracks the current reading). Callers that
   // export metrics for bounded-memory gating — the METRICS RPC, the soak

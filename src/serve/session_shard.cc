@@ -14,6 +14,15 @@ namespace tpgnn::serve {
 using graph::TemporalEdge;
 using tensor::Tensor;
 
+namespace {
+
+bool AllFinite(const float* values, size_t count) {
+  return std::all_of(values, values + count,
+                     [](float v) { return std::isfinite(v); });
+}
+
+}  // namespace
+
 struct SessionShard::Session {
   Session(int64_t num_nodes, int64_t feature_dim)
       : graph(num_nodes, feature_dim) {}
@@ -22,7 +31,6 @@ struct SessionShard::Session {
   Tensor x0;  // Cached initial embedding (Eq. 1), never mutated.
   Tensor x;   // Raw folded node state (pre-readout).
   Tensor m;   // Raw folded SUM time accumulator, when the config has one.
-  core::PropagationScratch scratch;
 
   // Pinned model version: every kernel this session runs (X0, folds,
   // finalize, extractor, classifier) comes from exactly this version. The
@@ -76,7 +84,10 @@ struct SessionShard::Session {
 
 SessionShard::SessionShard(const model::ModelRegistry& registry,
                            const ShardOptions& options, Metrics* metrics)
-    : registry_(registry), options_(options), metrics_(metrics) {}
+    : registry_(registry),
+      options_(options),
+      metrics_(metrics),
+      scratch_(registry.config()) {}
 
 SessionShard::~SessionShard() = default;
 
@@ -100,6 +111,10 @@ Status SessionShard::BeginSession(uint64_t session_id, int64_t num_nodes,
     }
     if (static_cast<int64_t>(f.features.size()) != feature_dim) {
       return Status::InvalidArgument("feature width mismatch for node " +
+                                     std::to_string(f.node));
+    }
+    if (!AllFinite(f.features.data(), f.features.size())) {
+      return Status::InvalidArgument("non-finite feature for node " +
                                      std::to_string(f.node));
     }
   }
@@ -219,8 +234,9 @@ Status SessionShard::AddEdge(uint64_t session_id, int64_t src, int64_t dst,
   if (src < 0 || src >= n || dst < 0 || dst >= n) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
-  if (edge_time < 0.0 || std::isnan(edge_time)) {
-    return Status::InvalidArgument("edge time must be non-negative");
+  if (edge_time < 0.0 || !std::isfinite(edge_time)) {
+    return Status::InvalidArgument("edge time must be finite and "
+                                   "non-negative");
   }
   // Pick up an immediate-rebase swap before folding: the eager fold below
   // must run the same version as the state it extends.
@@ -255,13 +271,13 @@ Status SessionShard::AddEdge(uint64_t session_id, int64_t src, int64_t dst,
     // edge, whose timestamp is exactly old_max.
     const double prev_time = total >= 2 ? old_max : 0.0;
     if (!prop.StateDependsOnMaxTime() && s.x_edges == total - 1) {
-      prop.PropagateEdgeState(s.x, e, max_time, prev_time, s.scratch);
+      prop.PropagateEdgeState(s.x, e, max_time, prev_time, scratch_);
       s.x_edges = total;
       s.x_max_time = max_time;
     }
     if (prop.has_time_accumulator() && !prop.AccumulatorDependsOnMaxTime() &&
         s.m_edges == total - 1) {
-      prop.AccumulateEdgeTime(s.m, e, max_time, s.scratch);
+      prop.AccumulateEdgeTime(s.m, e, max_time, scratch_);
       s.m_edges = total;
       s.m_max_time = max_time;
     }
@@ -312,7 +328,7 @@ const std::vector<TemporalEdge>& SessionShard::EnsureFolded(
     const double prev_time =
         i > 0 ? (*order)[static_cast<size_t>(i - 1)].time : 0.0;
     prop.PropagateEdgeState(s.x, (*order)[static_cast<size_t>(i)], max_time,
-                            prev_time, s.scratch);
+                            prev_time, scratch_);
   }
   s.x_edges = total;
   s.x_max_time = max_time;
@@ -335,7 +351,7 @@ const std::vector<TemporalEdge>& SessionShard::EnsureFolded(
     }
     for (int64_t i = s.m_edges; i < total; ++i) {
       prop.AccumulateEdgeTime(s.m, (*order)[static_cast<size_t>(i)], max_time,
-                              s.scratch);
+                              scratch_);
     }
     s.m_edges = total;
     s.m_max_time = max_time;
@@ -420,7 +436,8 @@ Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
     }
     s.finalized_edges = edges;
     s.finalized_max = max_time;
-    Tensor h = model.propagation().FinalizeState(s.x, s.m, max_time);
+    Tensor h =
+        model.propagation().FinalizeState(s.x, s.m, max_time, scratch_);
     Tensor g = model.EmbedFromNodeStates(h, order);
     result->logit = model.ClassifyEmbedding(g).item();
     s.cached_logit = result->logit;
@@ -583,6 +600,9 @@ Status SessionShard::ImportSession(const SessionState& state, double now) {
       n * static_cast<size_t>(state.feature_dim)) {
     return Status::InvalidArgument("feature matrix size mismatch");
   }
+  if (!AllFinite(state.features.data(), state.features.size())) {
+    return Status::InvalidArgument("non-finite feature in snapshot");
+  }
   if (state.x.size() != n * static_cast<size_t>(config.embed_dim) ||
       state.x0.size() != state.x.size()) {
     return Status::InvalidArgument("node state width mismatch with model");
@@ -597,7 +617,7 @@ Status SessionShard::ImportSession(const SessionState& state, double now) {
   }
   for (const TemporalEdge& e : state.edges) {
     if (e.src < 0 || e.src >= state.num_nodes || e.dst < 0 ||
-        e.dst >= state.num_nodes || e.time < 0.0 || std::isnan(e.time)) {
+        e.dst >= state.num_nodes || e.time < 0.0 || !std::isfinite(e.time)) {
       return Status::InvalidArgument("snapshot edge out of range");
     }
   }

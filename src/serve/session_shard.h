@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/temporal_propagation.h"
 #include "graph/temporal_graph.h"
 #include "model/registry.h"
 #include "serve/event.h"
@@ -55,6 +56,10 @@
 // normalize_time off every component folds strictly incrementally in either
 // basis.
 //
+// Every fold and finalize on the shard runs through one
+// core::PropagationScratch, sized from the registry's config at
+// construction and used only under the shard mutex.
+//
 // Concurrency: one mutex per shard; all public methods are thread-safe.
 // Events of a single session must still be submitted in order by the
 // caller — the shard applies them in arrival order, which is what makes
@@ -93,14 +98,15 @@ class SessionShard {
   // The session resolves and pins its model version here (primary, or the
   // A/B candidate per the registry's deterministic split). Fails with
   // kInvalidArgument on a duplicate id or a feature-dim mismatch with the
-  // model config, kOverloaded when the shard is at its cap with every
-  // resident session pinned.
+  // model config or a non-finite feature value, kOverloaded when the shard
+  // is at its cap with every resident session pinned.
   Status BeginSession(uint64_t session_id, int64_t num_nodes,
                       int64_t feature_dim,
                       const std::vector<NodeInit>& features, double now);
 
   // Appends one timestamped interaction. kNotFound for unknown sessions,
-  // kInvalidArgument for endpoint/time violations.
+  // kInvalidArgument for endpoint violations and negative or non-finite
+  // times.
   Status AddEdge(uint64_t session_id, int64_t src, int64_t dst,
                  double edge_time, double now);
 
@@ -148,8 +154,10 @@ class SessionShard {
   // model-version tag resolves against this registry: an empty tag means
   // the primary, an unknown tag fails with kFailedPrecondition (the caller
   // falls back to journal replay). Fails with kInvalidArgument on a
-  // duplicate id or any shape mismatch with the model config, kOverloaded
-  // at the resident cap — the same contract as BeginSession.
+  // duplicate id, any shape mismatch with the model config, a non-finite
+  // feature value or edge time, kOverloaded at the resident cap — the same
+  // contract as BeginSession. The folded x/m are adopted as they are: with
+  // stabilize_sum off they can overflow legitimately, as offline.
   Status ImportSession(const SessionState& state, double now);
 
   // Drops sessions idle since before `now - idle_ttl_seconds` (never pinned
@@ -185,6 +193,7 @@ class SessionShard {
   Metrics* const metrics_;
 
   mutable std::mutex mu_;
+  core::PropagationScratch scratch_;  // Guarded by mu_.
   std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_;
   // LRU order, most recent first; Session holds its iterator.
   std::list<uint64_t> lru_;

@@ -240,6 +240,7 @@ Status ParseSessionState(const uint8_t* data, size_t size,
   state->features.resize(static_cast<size_t>(feature_count));
   for (float& f : state->features) {
     if (!reader.ReadF32(&f)) return Corrupt("truncated features");
+    if (!std::isfinite(f)) return Corrupt("non-finite feature");
   }
   uint64_t num_edges = 0;
   if (!reader.ReadVarint(&num_edges) ||
@@ -253,7 +254,7 @@ Status ParseSessionState(const uint8_t* data, size_t size,
       return Corrupt("truncated edge list");
     }
     if (e.src < 0 || e.src >= state->num_nodes || e.dst < 0 ||
-        e.dst >= state->num_nodes || e.time < 0.0 || std::isnan(e.time)) {
+        e.dst >= state->num_nodes || e.time < 0.0 || !std::isfinite(e.time)) {
       return Corrupt("edge endpoint or time out of range");
     }
   }

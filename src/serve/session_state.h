@@ -78,8 +78,11 @@ void SerializeSessionState(const SessionState& state,
 // bounds-checked like the wire decoder: truncation, trailing bytes, a bad
 // magic/version, or an implausible count yields kDataLoss and never reads
 // out of bounds. Structural consistency (fold counts within the edge
-// count, tensor sizes divisible by num_nodes) is validated here; model
-// compatibility (feature_dim, state widths) is the importer's job.
+// count, tensor sizes divisible by num_nodes) and finite features and edge
+// times are validated here, also as kDataLoss; model compatibility
+// (feature_dim, state widths) is the importer's job. The folded x/m may
+// hold non-finite values: with stabilize_sum off they overflow
+// legitimately.
 Status ParseSessionState(const uint8_t* data, size_t size,
                          SessionState* state);
 

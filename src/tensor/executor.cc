@@ -1,18 +1,15 @@
 #include "tensor/executor.h"
 
 #include <atomic>
-#include <limits>
-
-#include "util/logging.h"
 
 namespace tpgnn::tensor::plan {
 
 namespace {
 
-// Summed bytes of all live executor arenas + high-water mark. Updated on
-// the (rare) grow path and in the destructor, never per Run.
 std::atomic<uint64_t> g_arena_bytes_live{0};
 std::atomic<uint64_t> g_arena_bytes_peak{0};
+
+}  // namespace
 
 void AddArenaBytes(uint64_t bytes) {
   const uint64_t live =
@@ -23,7 +20,9 @@ void AddArenaBytes(uint64_t bytes) {
   }
 }
 
-}  // namespace
+void ReleaseArenaBytes(uint64_t bytes) {
+  g_arena_bytes_live.fetch_sub(bytes, std::memory_order_relaxed);
+}
 
 uint64_t ArenaBytesLive() {
   return g_arena_bytes_live.load(std::memory_order_relaxed);
@@ -31,157 +30,6 @@ uint64_t ArenaBytesLive() {
 
 uint64_t ArenaBytesPeak() {
   return g_arena_bytes_peak.load(std::memory_order_relaxed);
-}
-
-PlanExecutor::~PlanExecutor() {
-  g_arena_bytes_live.fetch_sub(arena_.size() * sizeof(float),
-                               std::memory_order_relaxed);
-}
-
-namespace {
-
-inline const float* In(const ValueRef& ref, const RunContext& ctx,
-                       ParamTable params, const float* arena) {
-  switch (ref.kind) {
-    case ValueRef::Kind::kSrcRow:
-      return ctx.src + ref.offset;
-    case ValueRef::Kind::kDstRow:
-      return ctx.dst + ref.offset;
-    case ValueRef::Kind::kMRow:
-      return ctx.m + ref.offset;
-    case ValueRef::Kind::kAux:
-      return ctx.aux + ref.offset;
-    case ValueRef::Kind::kArena:
-      return arena + ref.offset;
-    case ValueRef::Kind::kParam:
-      return params[ref.index];
-    case ValueRef::Kind::kNone:
-      break;
-  }
-  TPGNN_CHECK(false) << "unbound plan operand";
-  return nullptr;
-}
-
-inline float* Out(const ValueRef& ref, const RunContext& ctx, float* arena) {
-  switch (ref.kind) {
-    case ValueRef::Kind::kDstRow:
-      return ctx.dst + ref.offset;
-    case ValueRef::Kind::kMRow:
-      return ctx.m + ref.offset;
-    case ValueRef::Kind::kArena:
-      return arena + ref.offset;
-    default:
-      break;
-  }
-  TPGNN_CHECK(false) << "plan op writes a read-only operand";
-  return nullptr;
-}
-
-}  // namespace
-
-void PlanExecutor::Run(const CompiledProgram& program, ParamTable params,
-                       const RunContext& ctx) {
-  if (static_cast<size_t>(program.arena_size()) > arena_.size()) {
-    const size_t grown =
-        static_cast<size_t>(program.arena_size()) - arena_.size();
-    arena_.resize(static_cast<size_t>(program.arena_size()));
-    ++arena_grows_;
-    AddArenaBytes(grown * sizeof(float));
-  }
-  float* arena = arena_.data();
-  if (poison_) {
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    for (float& v : arena_) v = nan;
-  }
-  const Kernels& ker = ActiveKernels();
-
-  for (const PlanOp& op : program.ops()) {
-    switch (op.code) {
-      case OpCode::kZero:
-        ker.zero(Out(op.a, ctx, arena), op.n);
-        break;
-      case OpCode::kCopy:
-        ker.copy(Out(op.a, ctx, arena), In(op.b, ctx, params, arena), op.n);
-        break;
-      case OpCode::kAddAccumulate:
-        ker.add_accumulate(Out(op.a, ctx, arena),
-                           In(op.b, ctx, params, arena), op.n);
-        break;
-      case OpCode::kTanh:
-        ker.tanh_inplace(Out(op.a, ctx, arena), op.n);
-        break;
-      case OpCode::kTanhAdd:
-        ker.tanh_add(Out(op.a, ctx, arena), In(op.b, ctx, params, arena),
-                     op.n);
-        break;
-      case OpCode::kGemv:
-        ker.gemm_accumulate(In(op.b, ctx, params, arena),
-                            In(op.c, ctx, params, arena),
-                            Out(op.a, ctx, arena), 1, op.k, op.n);
-        break;
-      case OpCode::kSigmoidBias:
-        ker.sigmoid_bias(Out(op.a, ctx, arena), In(op.b, ctx, params, arena),
-                         op.n);
-        break;
-      case OpCode::kGruCandidate:
-        ker.gru_candidate(Out(op.a, ctx, arena),
-                          In(op.b, ctx, params, arena),
-                          In(op.c, ctx, params, arena),
-                          In(op.d, ctx, params, arena),
-                          In(op.e, ctx, params, arena), op.n);
-        break;
-      case OpCode::kGruBlend:
-        ker.gru_blend(Out(op.a, ctx, arena), In(op.b, ctx, params, arena),
-                      In(op.c, ctx, params, arena),
-                      In(op.d, ctx, params, arena), op.n);
-        break;
-      case OpCode::kTime2Vec:
-        ker.time2vec(Out(op.a, ctx, arena), ctx.t,
-                     In(op.b, ctx, params, arena),
-                     In(op.c, ctx, params, arena),
-                     In(op.d, ctx, params, arena),
-                     In(op.e, ctx, params, arena), op.n);
-        break;
-      case OpCode::kPhasor:
-        ker.phasor(Out(op.a, ctx, arena), Out(op.b, ctx, arena), ctx.t,
-                   In(op.c, ctx, params, arena),
-                   In(op.d, ctx, params, arena), op.n);
-        break;
-      case OpCode::kTimeCount: {
-        float* m = Out(op.a, ctx, arena);
-        m[0] = ctx.t + m[0];
-        m[1] = 1.0f + m[1];
-        break;
-      }
-      case OpCode::kRotatePairs:
-        ker.rotate_pairs(Out(op.a, ctx, arena),
-                         In(op.b, ctx, params, arena),
-                         In(op.c, ctx, params, arena),
-                         In(op.d, ctx, params, arena),
-                         In(op.e, ctx, params, arena), op.n);
-        break;
-      case OpCode::kLinearCorrect: {
-        const float* m = In(op.b, ctx, params, arena);
-        const float* w0 = In(op.c, ctx, params, arena);
-        const float* phi0 = In(op.d, ctx, params, arena);
-        // Mirrors the recorded correction's association: sn = Σt·sf first,
-        // both products rounded separately, then summed.
-        const float sn = m[0] * ctx.t;
-        const float kf = m[1];
-        const float lin_w = w0[0] * sn;
-        const float lin_p = phi0[0] * kf;
-        Out(op.a, ctx, arena)[0] = lin_w + lin_p;
-        break;
-      }
-      case OpCode::kScaleByCount: {
-        const float* m = In(op.b, ctx, params, arena);
-        const float kf = m[1];
-        const float invk = kf > 0.0f ? 1.0f / kf : 1.0f;
-        ker.scale_inplace(Out(op.a, ctx, arena), invk, op.n);
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace tpgnn::tensor::plan

@@ -2,67 +2,24 @@
 #define TPGNN_TENSOR_EXECUTOR_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "tensor/kernels.h"
-#include "tensor/plan.h"
-
-// Executes compiled per-edge programs (tensor/plan.h) against a preallocated
-// arena. One executor is embedded per propagation scratch (offline fold,
-// serving session); after the first run its arena is warm and a run performs
-// zero heap allocation and zero virtual dispatch — a switch over opcodes
-// calling the SIMD kernel table resolved once per run.
+// Process-wide byte accounting for the per-fold scratch buffers
+// (core::PropagationScratch): the summed bytes of every live scratch and its
+// high-water mark, in relaxed atomics. The serving metric
+// `arena_bytes_peak`, the soak harness's memory bound and the repo
+// benchmark's `tensor.arena_kb_peak` read the peak (DESIGN.md §4.9).
+//
+// The header, the namespace and the "arena" names are those of the per-edge
+// plan executor this accounting used to serve; they stay because the repo
+// benchmark (perfbench/) includes this header and calls ArenaBytesPeak().
 
 namespace tpgnn::tensor::plan {
 
-// Per-run operand bindings. Field meanings per program are documented on
-// CompiledPlans.
-struct RunContext {
-  const float* src = nullptr;
-  float* dst = nullptr;
-  float* m = nullptr;
-  const float* aux = nullptr;
-  float t = 0.0f;
-};
+// A scratch registers its bytes at construction and releases them at
+// destruction.
+void AddArenaBytes(uint64_t bytes);
+void ReleaseArenaBytes(uint64_t bytes);
 
-class PlanExecutor {
- public:
-  PlanExecutor() = default;
-  ~PlanExecutor();
-  // Arena bytes are tracked in the process-wide live/peak accounting below,
-  // so executors move (the arena travels with its bytes) but never copy.
-  PlanExecutor(PlanExecutor&&) noexcept = default;
-  PlanExecutor& operator=(PlanExecutor&&) noexcept = default;
-  PlanExecutor(const PlanExecutor&) = delete;
-  PlanExecutor& operator=(const PlanExecutor&) = delete;
-
-  // Runs `program` with the given parameter table (kNumParamSlots entries)
-  // and bindings. Grows the arena on first use of a larger program; never
-  // shrinks, so steady-state runs are allocation-free.
-  void Run(const CompiledProgram& program, ParamTable params,
-           const RunContext& ctx);
-
-  // Debug mode: fill the whole arena with signaling garbage (NaN) before
-  // every run, so any op reading an arena slot it did not define first — a
-  // liveness-planning bug — corrupts the output instead of silently reusing
-  // a stale value. Used by plan_test; off by default.
-  void set_poison(bool poison) { poison_ = poison; }
-
-  // Introspection: how many times Run had to (re)grow the arena.
-  uint64_t arena_grows() const { return arena_grows_; }
-  size_t arena_size() const { return arena_.size(); }
-
- private:
-  std::vector<float> arena_;
-  uint64_t arena_grows_ = 0;
-  bool poison_ = false;
-};
-
-// Process-wide arena accounting (relaxed atomics): the summed bytes of every
-// live executor arena, and its high-water mark. One session's arena is a
-// constant of the plan config, so live bytes track the resident-session
-// count — exactly the quantity the soak harness asserts stays bounded once
-// eviction reaches steady state (DESIGN.md §4.9).
 uint64_t ArenaBytesLive();
 uint64_t ArenaBytesPeak();
 

@@ -258,6 +258,7 @@ const Kernels kScalarTable = {
 
 struct Dispatch {
   std::atomic<const Kernels*> table{&kScalarTable};
+  std::atomic<const Kernels*> training{&kScalarTable};
   std::atomic<SimdMode> mode{SimdMode::kScalar};
 };
 
@@ -286,6 +287,38 @@ const Kernels* TableFor(SimdMode mode) {
   return &kScalarTable;
 }
 
+// `isa` with the scalar ulp-class maps swapped in: TrainingKernels().
+Kernels WithScalarUlpMaps(const Kernels& isa) {
+  Kernels table = isa;
+  table.tanh_inplace = kScalarTable.tanh_inplace;
+  table.tanh_add = kScalarTable.tanh_add;
+  table.sigmoid_bias = kScalarTable.sigmoid_bias;
+  table.gru_candidate = kScalarTable.gru_candidate;
+  return table;
+}
+
+// The training table for a concrete mode TableFor() has already accepted.
+const Kernels* TrainingTableFor(SimdMode mode) {
+  switch (mode) {
+    case SimdMode::kAvx2: {
+      static const Kernels table = WithScalarUlpMaps(internal::Avx2Kernels());
+      return &table;
+    }
+    case SimdMode::kNeon: {
+      static const Kernels table = WithScalarUlpMaps(internal::NeonKernels());
+      return &table;
+    }
+    default:
+      return &kScalarTable;
+  }
+}
+
+void Install(Dispatch& d, SimdMode mode) {
+  d.table.store(TableFor(mode), std::memory_order_release);
+  d.training.store(TrainingTableFor(mode), std::memory_order_release);
+  d.mode.store(mode, std::memory_order_release);
+}
+
 Dispatch& GetDispatch() {
   // The initial mode is read from TPGNN_SIMD exactly once, at first use.
   static Dispatch* d = [] {
@@ -295,8 +328,7 @@ Dispatch& GetDispatch() {
     TPGNN_CHECK(ParseSimdMode(env.c_str(), &mode))
         << "TPGNN_SIMD must be scalar|avx2|neon|auto, got \"" << env << "\"";
     if (mode == SimdMode::kAuto) mode = ResolveAuto();
-    dispatch->table.store(TableFor(mode), std::memory_order_release);
-    dispatch->mode.store(mode, std::memory_order_release);
+    Install(*dispatch, mode);
     return dispatch;
   }();
   return *d;
@@ -310,15 +342,17 @@ const Kernels& ActiveKernels() {
   return *GetDispatch().table.load(std::memory_order_acquire);
 }
 
+const Kernels& TrainingKernels() {
+  return *GetDispatch().training.load(std::memory_order_acquire);
+}
+
 SimdMode ActiveSimdMode() {
   return GetDispatch().mode.load(std::memory_order_acquire);
 }
 
 SimdMode SetSimdMode(SimdMode mode) {
   if (mode == SimdMode::kAuto) mode = ResolveAuto();
-  Dispatch& d = GetDispatch();
-  d.table.store(TableFor(mode), std::memory_order_release);
-  d.mode.store(mode, std::memory_order_release);
+  Install(GetDispatch(), mode);
   return mode;
 }
 

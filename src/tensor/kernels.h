@@ -4,10 +4,11 @@
 #include <cstdint>
 
 // Runtime-dispatched compute kernels (DESIGN.md §4.6). Every numeric loop
-// the per-edge plans, the GEMM wrappers, and the zero-copy inference paths
-// execute lives behind one function-pointer table, selected once per process
-// from CPUID with a TPGNN_SIMD=scalar|avx2|auto override. The scalar table is
-// the reference semantics; ISA tables must honour the parity policy below.
+// the per-edge propagation steps, the GRU step, the GEMM wrappers and the
+// zero-copy inference paths execute lives behind one function-pointer table,
+// selected once per process from CPUID with a TPGNN_SIMD=scalar|avx2|auto
+// override. The scalar table is the reference semantics; ISA tables must
+// honour the parity policy below.
 //
 // Parity policy (tested by tests/tensor/kernels_test.cc):
 //  * Bitwise class — GEMM, copies, adds, blends, rotations, every
@@ -24,8 +25,9 @@
 //    kTranscendentalUlpBound ULPs of the scalar kernel per element. Only
 //    inference paths run these through the active table. Training — the
 //    recorded ops in tensor/ops.cc, the fused recurrence ops and the
-//    optimizer — calls only bitwise-class entries and libm, so losses,
-//    parameters and checkpoints are ISA-independent.
+//    optimizer — calls only bitwise-class entries, libm and the scalar
+//    ulp-class maps (TrainingKernels() below), so losses, parameters and
+//    checkpoints are ISA-independent.
 
 namespace tpgnn::tensor {
 
@@ -109,6 +111,14 @@ const Kernels& ScalarKernels();
 // process aborts on an explicit request for an ISA this build or CPU cannot
 // run — a forced-ISA CI leg must not silently test scalar), else kAuto.
 const Kernels& ActiveKernels();
+
+// The table the fused training ops run (the SUM propagation and the GRU
+// sequence): ActiveKernels()' bitwise-class entries with ScalarKernels()'
+// four ulp-class maps (tanh_inplace, tanh_add, sigmoid_bias, gru_candidate).
+// Training keeps the vector GEMM and stays bit-identical across SIMD modes.
+// Follows SetSimdMode like ActiveKernels(). Goes away once every entry is
+// bitwise (ROADMAP item 9).
+const Kernels& TrainingKernels();
 
 // The concrete mode ActiveKernels() resolved to (never kAuto).
 SimdMode ActiveSimdMode();

@@ -21,7 +21,7 @@
 //     resident_sessions. Holds bit-exactly through overload shedding,
 //     eviction churn, and injected Begin/enqueue faults.
 //   * Bounded memory. Once the warmup phase has populated the caches, the
-//     buffer-pool peak, the summed executor-arena peak, and the process RSS
+//     buffer-pool peak, the summed fold-scratch peak, and the process RSS
 //     high-water mark may not grow beyond a declared slack over their
 //     warmup baselines — monotone growth is a leak, caught while it is
 //     still megabytes.

@@ -2,13 +2,14 @@
 // multi-row GEMMs over chunks of 64 edges, then the recurrent steps) at edge
 // counts around the chunk boundary:
 //  * scalar mode: bit-identical to the recorded (autograd) forward;
-//  * active mode: bit-identical to one GruCell::StepInto per edge, the
-//    sweep it replaced;
+//  * active mode: bit-identical to one-row input projections and one
+//    GruCell::Step per edge;
 //  * active mode: a session scored through serving is bit-identical to the
 //    offline forward on the same graph.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -110,21 +111,28 @@ TEST(ExtractorSweepTest, ActiveModeMatchesPerEdgeStepsBitwise) {
       tensor::NoGradGuard no_grad;
       for (int64_t count : kEdgeCounts) {
         const std::vector<TemporalEdge> edges = RandomEdges(count, 9, 44);
-        // The replaced sweep: Average EdgeAgg, one StepInto per edge, the
-        // mean accumulated edge by edge.
+        // One edge at a time: Average EdgeAgg, one-row input projections
+        // and one Step per edge, the mean accumulated edge by edge.
+        const tensor::Kernels& ker = tensor::ActiveKernels();
         const size_t d = static_cast<size_t>(shape.hidden_dim);
         const int64_t k = shape.node_dim;
         std::vector<float> state(d, 0.0f);
         std::vector<float> acc(d, 0.0f);
         std::vector<float> edge(static_cast<size_t>(k));
-        nn::GruScratch scratch;
+        std::vector<float> z(d), r(d), xn(d), hu(d), cand(d);
         for (const TemporalEdge& e : edges) {
           const float* u = h.data().data() + e.src * k;
           const float* v = h.data().data() + e.dst * k;
           for (int64_t i = 0; i < k; ++i) {
             edge[static_cast<size_t>(i)] = (u[i] + v[i]) * 0.5f;
           }
-          cell.StepInto(edge.data(), state.data(), state.data(), scratch);
+          for (std::vector<float>* row : {&z, &r, &xn}) {
+            std::fill(row->begin(), row->end(), 0.0f);
+          }
+          cell.ProjectInputs(ker, edge.data(), 1, z.data(), r.data(),
+                             xn.data());
+          cell.Step(ker, state.data(), z.data(), r.data(), xn.data(),
+                    hu.data(), cand.data(), state.data());
           for (size_t j = 0; j < d; ++j) acc[j] += state[j];
         }
         if (count > 0) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +59,41 @@ TEST(ServerTest, IngestBatchAppliesAllEventsAndScores) {
   EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
   EXPECT_EQ(results[0].session_id, 1u);
   EXPECT_EQ(results[0].label, dataset[0].label);
+  EXPECT_EQ(results[0].edges_scored,
+            static_cast<int64_t>(g.edges().size()));
+}
+
+TEST(ServerTest, NonFiniteFeatureIsRejectedTypedAndServingContinues) {
+  ServerHarness harness;
+  Client client(harness.client_options());
+  ASSERT_TRUE(client.Connect().ok());
+
+  graph::GraphDataset dataset = TinyDataset();
+  const graph::TemporalGraph& g = dataset[0].graph;
+  std::vector<serve::Event> events;
+  events.push_back(BeginEvent(1, g));
+  for (const graph::TemporalEdge& e : g.edges()) {
+    events.push_back(EdgeEvent(1, e.src, e.dst, e.time));
+  }
+  const uint64_t bad_event = events.size();
+  serve::Event poisoned = BeginEvent(2, g);
+  poisoned.features[0].features[0] = std::numeric_limits<float>::quiet_NaN();
+  events.push_back(poisoned);
+  events.push_back(ScoreEvent(2));
+
+  uint64_t applied = 0;
+  Status status = client.IngestBatch(events, &applied);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(applied, bad_event);
+
+  // The connection and the good session keep serving.
+  EXPECT_TRUE(client.Ping().ok());
+  ASSERT_TRUE(client.IngestBatch({ScoreEvent(1, dataset[0].label)}).ok());
+  ASSERT_TRUE(client.DrainResults().ok());
+  std::vector<serve::ScoreResult> results = client.TakeResults();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_EQ(results[0].session_id, 1u);
   EXPECT_EQ(results[0].edges_scored,
             static_cast<int64_t>(g.edges().size()));
 }

@@ -98,7 +98,7 @@ graph::GraphDataset ParityDataset() {
 }
 
 // The bitwise serving contract must hold in every SIMD mode this machine can
-// run: serving and the offline forward share the planned executor and kernel
+// run: serving and the offline forward share the step functions and kernel
 // table, so whatever ISA is selected, both sides produce the same bits.
 std::vector<tensor::SimdMode> ParityModes() {
   std::vector<tensor::SimdMode> modes = {tensor::SimdMode::kScalar};

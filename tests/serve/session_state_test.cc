@@ -7,6 +7,7 @@
 #include "serve/session_state.h"
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,39 @@ TEST(SessionStateTest, StructuralLiesFailEvenWhenWellFramed) {
   EXPECT_EQ(s.code(), StatusCode::kDataLoss);
   EXPECT_NE(s.ToString().find("out of range"), std::string::npos)
       << s.ToString();
+}
+
+TEST(SessionStateTest, NonFiniteFeaturesAndEdgeTimesFailTyped) {
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  SessionState scratch;
+  for (double bad : kBad) {
+    SessionState feature = SampleState(true);
+    feature.features[2] = static_cast<float>(bad);
+    std::vector<uint8_t> blob;
+    SerializeSessionState(feature, &blob);
+    Status s = ParseSessionState(blob.data(), blob.size(), &scratch);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << bad;
+    EXPECT_NE(s.ToString().find("non-finite feature"), std::string::npos)
+        << s.ToString();
+
+    SessionState edge = SampleState(true);
+    edge.edges[1].time = bad;
+    blob.clear();
+    SerializeSessionState(edge, &blob);
+    s = ParseSessionState(blob.data(), blob.size(), &scratch);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << bad;
+    EXPECT_NE(s.ToString().find("time out of range"), std::string::npos)
+        << s.ToString();
+  }
+  // Folded state crosses as it is: with stabilize_sum off it can overflow.
+  SessionState overflowed = SampleState(true);
+  overflowed.x[0] = std::numeric_limits<float>::infinity();
+  overflowed.m[1] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<uint8_t> blob;
+  SerializeSessionState(overflowed, &blob);
+  EXPECT_TRUE(ParseSessionState(blob.data(), blob.size(), &scratch).ok());
 }
 
 TEST(SessionStateTest, OversizedModelVersionTagRejected) {

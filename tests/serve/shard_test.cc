@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,50 @@ TEST_F(ShardTest, LifecycleAndValidation) {
   EXPECT_EQ(shard.resident_sessions(), 0u);
   EXPECT_EQ(shard.EndSession(1).code(), StatusCode::kNotFound);
   EXPECT_EQ(shard.AddEdge(1, 0, 1, 2.0, 0.0).code(), StatusCode::kNotFound);
+}
+
+// A NaN or infinite feature or edge time fails typed at admission, so it
+// never reaches a kernel (the SIMD modes disagree on non-finite inputs).
+// Imported folded state is adopted as it is.
+TEST_F(ShardTest, NonFiniteFeaturesAndTimesAreRejected) {
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  SessionShard shard(registry_, ShardOptions{}, &metrics_);
+  for (float bad : kBad) {
+    EXPECT_EQ(shard.BeginSession(1, 2, 3, {{0, {1.0f, bad, 0.0f}}}, 0.0).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(shard.resident_sessions(), 0u);
+
+  ASSERT_TRUE(Begin(shard, 1).ok());
+  for (float bad : kBad) {
+    EXPECT_EQ(shard.AddEdge(1, 0, 1, static_cast<double>(bad), 0.0).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
+  SessionState good;
+  ASSERT_TRUE(shard.ExportSession(1, &good).ok());
+
+  SessionShard dest(registry_, ShardOptions{}, &metrics_);
+  for (float bad : kBad) {
+    SessionState state = good;
+    state.features[1] = bad;
+    EXPECT_EQ(dest.ImportSession(state, 0.0).code(),
+              StatusCode::kInvalidArgument)
+        << "feature " << bad;
+    state = good;
+    state.edges[0].time = static_cast<double>(bad);
+    EXPECT_EQ(dest.ImportSession(state, 0.0).code(),
+              StatusCode::kInvalidArgument)
+        << "edge time " << bad;
+  }
+  EXPECT_EQ(dest.resident_sessions(), 0u);
+  SessionState overflowed = good;
+  overflowed.x[0] = std::numeric_limits<float>::infinity();
+  EXPECT_TRUE(dest.ImportSession(overflowed, 0.0).ok());
 }
 
 TEST_F(ShardTest, ScoringEmptySessionWorks) {

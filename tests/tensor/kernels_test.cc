@@ -7,7 +7,8 @@
 //  * ulp class — tanh_inplace / tanh_add / sigmoid_bias / gru_candidate may
 //    use a vector exp polynomial, but must stay within
 //    kTranscendentalUlpBound ULPs of the scalar kernel per element.
-//  * Dispatch — mode parsing, support queries, and the ScopedSimdMode pin.
+//  * Dispatch — mode parsing, support queries, the ScopedSimdMode pin, and
+//    which table each TrainingKernels() entry comes from.
 
 #include "tensor/kernels.h"
 
@@ -485,6 +486,36 @@ TEST(KernelsDispatchTest, ScopedSimdModeRestoresThePreviousMode) {
     EXPECT_STREQ(ActiveKernels().name, "scalar");
   }
   EXPECT_EQ(ActiveSimdMode(), before);
+}
+
+TEST(KernelsDispatchTest, TrainingTableTakesTheUlpMapsFromScalar) {
+  for (SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kNeon}) {
+    if (!SimdModeSupported(mode)) continue;
+    ScopedSimdMode pin(mode);
+    const Kernels& training = TrainingKernels();
+    const Kernels& active = ActiveKernels();
+    const Kernels& scalar = ScalarKernels();
+    const char* name = SimdModeName(mode);
+    // The four ulp-class maps: the scalar table's.
+    EXPECT_EQ(training.tanh_inplace, scalar.tanh_inplace) << name;
+    EXPECT_EQ(training.tanh_add, scalar.tanh_add) << name;
+    EXPECT_EQ(training.sigmoid_bias, scalar.sigmoid_bias) << name;
+    EXPECT_EQ(training.gru_candidate, scalar.gru_candidate) << name;
+    // Every bitwise entry: the active ISA's.
+    EXPECT_EQ(training.gemm_accumulate, active.gemm_accumulate) << name;
+    EXPECT_EQ(training.gemm_accumulate_nt, active.gemm_accumulate_nt) << name;
+    EXPECT_EQ(training.gemm_accumulate_tn, active.gemm_accumulate_tn) << name;
+    EXPECT_EQ(training.copy, active.copy) << name;
+    EXPECT_EQ(training.zero, active.zero) << name;
+    EXPECT_EQ(training.add_accumulate, active.add_accumulate) << name;
+    EXPECT_EQ(training.scale_inplace, active.scale_inplace) << name;
+    EXPECT_EQ(training.gru_blend, active.gru_blend) << name;
+    EXPECT_EQ(training.rotate_pairs, active.rotate_pairs) << name;
+    EXPECT_EQ(training.time2vec, active.time2vec) << name;
+    EXPECT_EQ(training.phasor, active.phasor) << name;
+    EXPECT_EQ(training.rotation, active.rotation) << name;
+    EXPECT_EQ(training.adam_update, active.adam_update) << name;
+  }
 }
 
 TEST(KernelsDispatchTest, AutoResolvesToAConcreteSupportedMode) {
