@@ -1,7 +1,6 @@
 #include "core/global_extractor.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -56,9 +55,11 @@ constexpr int64_t kSweepChunk = 64;
 
 // Raw counterpart of AggregateEdge for the zero-copy inference path: writes
 // the edge embedding for endpoint rows `u` and `v` (each `k` wide) into
-// `out`. Mirrors the tensor ops' elementwise expressions exactly so the
-// values match the recorded path bitwise.
-void AggregateEdgeInto(EdgeAgg agg, const float* u, const float* v, int64_t k,
+// `out`. Mirrors the tensor ops' elementwise expressions exactly, tanh
+// through the same kernel map, so the values match the recorded path
+// bitwise.
+void AggregateEdgeInto(const tensor::Kernels& ker, EdgeAgg agg,
+                       const float* u, const float* v, int64_t k,
                        float* out) {
   switch (agg) {
     case EdgeAgg::kAverage:
@@ -81,7 +82,9 @@ void AggregateEdgeInto(EdgeAgg agg, const float* u, const float* v, int64_t k,
       }
       return;
     case EdgeAgg::kActivation:
-      for (int64_t i = 0; i < k; ++i) out[i] = std::tanh(u[i] + v[i]);
+      // tanh(u + v), the sum formed like Add(h_u, h_v).
+      ker.copy(out, v, k);
+      ker.tanh_add(out, u, k);
       return;
     case EdgeAgg::kConcatenation:
       for (int64_t i = 0; i < k; ++i) out[i] = u[i];
@@ -147,8 +150,8 @@ Tensor GlobalTemporalExtractor::ForwardInference(
   // projections as multi-row GEMMs (GruCell::ProjectInputs); phase two runs
   // GruCell::Step per edge, the step every GRU recurrence shares. The mean
   // accumulates like GruCell::ForwardSequence's, so the readout is
-  // bit-identical to the training forward in scalar mode and to one
-  // projection and step per edge in every mode.
+  // bit-identical to the training forward and to one projection and step per
+  // edge, in every mode.
   const int64_t d = hidden_dim_;
   std::vector<float> state(static_cast<size_t>(d), 0.0f);
   if (edge_order.empty()) {
@@ -176,7 +179,8 @@ Tensor GlobalTemporalExtractor::ForwardInference(
     for (int64_t i = 0; i < count; ++i) {
       const graph::TemporalEdge& e =
           edge_order[static_cast<size_t>(begin + i)];
-      AggregateEdgeInto(edge_agg_, RowSpanOf(node_embeddings, e.src).data,
+      AggregateEdgeInto(ker, edge_agg_,
+                        RowSpanOf(node_embeddings, e.src).data,
                         RowSpanOf(node_embeddings, e.dst).data, node_dim_,
                         edges + i * edge_dim_);
     }

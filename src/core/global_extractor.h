@@ -48,8 +48,7 @@ class GlobalTemporalExtractor : public nn::Module {
   // GRU sweep used when gradients are disabled, two-phase over chunks of
   // edges: the gates' input projections run as multi-row GEMMs, then one
   // GruCell::Step per edge adds h·U and applies the gate maps. The embedding
-  // is bit-identical to Forward in scalar SIMD mode and kernel-ulp-close
-  // under a vector ISA.
+  // is bit-identical to Forward in every SIMD mode.
   tensor::Tensor ForwardInference(
       const tensor::Tensor& node_embeddings,
       const std::vector<graph::TemporalEdge>& edge_order) const;

@@ -88,8 +88,8 @@ Tensor TemporalPropagation::Forward(
 
   if (!config_.use_temporal_propagation()) {
     // Inference readout goes through FinalizeState so offline scores match
-    // serving bitwise in every SIMD mode (scalar tanh is libm there too, so
-    // scalar mode also matches this recorded path bitwise).
+    // serving bitwise; its tanh is the recorded Tanh's map, so it matches
+    // this recorded path bitwise too.
     if (!tensor::GradEnabled()) {
       PropagationScratch scratch(config_);
       return FinalizeState(x, Tensor(), /*max_time=*/0.0, scratch);
@@ -322,7 +322,7 @@ void SumTape::TimeBackward(float* g) const {
 Tensor TemporalPropagation::ForwardSum(
     const Tensor& x, const std::vector<graph::TemporalEdge>& edge_order,
     double max_time) const {
-  const tensor::Kernels& ker = tensor::TrainingKernels();
+  const tensor::Kernels& ker = tensor::ActiveKernels();
   auto tape = std::make_shared<SumTape>();
   SumTape& s = *tape;
   const int64_t n = x.size(0);
@@ -370,7 +370,7 @@ Tensor TemporalPropagation::ForwardSum(
     }
   }
 
-  // The fold runs the steps serving runs, on the training table: X-hat
+  // The fold runs the steps serving runs, on the active table: X-hat
   // [n, e] and the accumulator [n, sd] advance per edge, then one readout
   // row per node.
   std::vector<float> xs = util::AcquireBuffer(static_cast<size_t>(n * e));

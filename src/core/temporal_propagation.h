@@ -158,17 +158,16 @@ class TemporalPropagation : public nn::Module {
   // Allocation-free propagation used when gradients are disabled: node state
   // is mutated in place through zero-copy row views (tensor/tensor.h) by the
   // single-edge API above, over the active kernel table — bit-identical to
-  // Forward in scalar SIMD mode and kernel-ulp-close under a vector ISA
-  // (tensor/kernels.h). `x` is the freshly embedded [n, embed_dim] matrix,
-  // consumed as the initial state.
+  // Forward in every SIMD mode (tensor/kernels.h). `x` is the freshly
+  // embedded [n, embed_dim] matrix, consumed as the initial state.
   tensor::Tensor ForwardInference(
       tensor::Tensor x, const std::vector<graph::TemporalEdge>& edge_order,
       double max_time) const;
 
-  // The SUM updater's steps. ForwardSum (on tensor::TrainingKernels()),
-  // ForwardInference and the serving fold (on the active table, through the
-  // single-edge API) all run these three over raw rows; nothing else
-  // decides what one SUM edge or one readout row computes.
+  // The SUM updater's steps. ForwardSum, ForwardInference and the serving
+  // fold (through the single-edge API) all run these three over raw rows on
+  // the active table; nothing else decides what one SUM edge or one readout
+  // row computes.
   //
   // Eq. (3): dst <- src + dst, tanh-squashed under stabilize_sum. A
   // self-loop (src == dst) doubles the row.

@@ -206,7 +206,7 @@ Tensor GruCell::ForwardSequence(const Tensor& xs,
   TPGNN_CHECK_GT(m, 0);
   const int64_t k = input_size_;
   const int64_t d = hidden_size_;
-  const tensor::Kernels& ker = tensor::TrainingKernels();
+  const tensor::Kernels& ker = tensor::ActiveKernels();
   auto tape = std::make_shared<GruSequenceTape>();
   tape->m = m;
   tape->k = k;

@@ -33,11 +33,10 @@ class GruCell : public Module {
   // Runs the cell over the rows of `xs` ([m, input_size], m >= 1) from a
   // zero initial state and returns the `readout` of the states
   // ([hidden_size]), as one recorded op. The forward is ProjectInputs over
-  // every row, then one Step per row on tensor::TrainingKernels() (the
-  // vector GEMM, scalar sigmoid/tanh), so it computes the values of m chained
-  // Forward calls bit for bit in every SIMD mode. It saves each step's gates,
-  // h·Un, candidate and state for a hand-written reverse sweep
-  // (DESIGN.md §4.2).
+  // every row, then one Step per row on tensor::ActiveKernels(), so it
+  // computes the values of m chained Forward calls bit for bit in every SIMD
+  // mode. It saves each step's gates, h·Un, candidate and state for a
+  // hand-written reverse sweep (DESIGN.md §4.2).
   tensor::Tensor ForwardSequence(const tensor::Tensor& xs,
                                  SequenceReadout readout) const;
 
@@ -53,9 +52,10 @@ class GruCell : public Module {
   // and one input's projections. On entry z and r hold x·Wz and x·Wr and xn
   // holds x·Wn; on exit z and r hold the gates, hu holds h·Un and n the
   // candidate. Every element takes Forward's expressions in Forward's order
-  // (a gate starts at zero, takes x·W, then h·U, then bias and sigmoid), so
-  // with the scalar maps the step equals Forward bit for bit. Rows are
-  // [hidden_size]; `out` may alias `h`. No allocation.
+  // (a gate starts at zero, takes x·W, then h·U, then bias and sigmoid), and
+  // Forward's Sigmoid and Tanh run the same kernel maps, so the step equals
+  // Forward bit for bit on any table. Rows are [hidden_size]; `out` may
+  // alias `h`. No allocation.
   void Step(const tensor::Kernels& ker, const float* h, float* z, float* r,
             const float* xn, float* hu, float* n, float* out) const;
 

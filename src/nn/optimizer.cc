@@ -52,7 +52,7 @@ void Adam::Step() {
   ++t_;
   const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  // A bitwise-class kernel: the update is the same on every ISA.
+  // A kernel-table entry: the update is the same on every ISA.
   const tensor::Kernels& kernels = tensor::ActiveKernels();
   for (size_t pi = 0; pi < params_.size(); ++pi) {
     tensor::Tensor& p = params_[pi];

@@ -34,6 +34,9 @@
   X(scores_completed, kSum)                                                   \
   X(scores_failed, kSum)                                                      \
   X(overload_rejections, kSum)                                                \
+  /* Admissions refused for a NaN or ±inf node feature or edge time           \
+     (SessionShard::BeginSession, AddEdge, ImportSession). */                 \
+  X(nonfinite_rejections, kSum)                                               \
   /* Folded session states discarded and rebuilt (time-normalization or       \
      out-of-order invalidation; see SessionShard). */                         \
   X(state_refolds, kSum)                                                      \

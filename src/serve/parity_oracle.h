@@ -32,8 +32,8 @@
 // to run while any failpoint is armed: the reference must be fault-free,
 // and its forward evaluates failpoint sites (pool.acquire), which would
 // otherwise draw fires that belong to the stack under test. Record and
-// Check are thread-safe. A memoized reference keeps the bits of the SIMD
-// mode that computed it, so use one oracle per mode.
+// Check are thread-safe. Every SIMD mode computes the same bits, so one
+// oracle serves scores from any mode.
 
 namespace tpgnn::serve {
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/temporal_propagation.h"
-#include "tensor/kernels.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -19,6 +18,15 @@ namespace {
 bool AllFinite(const float* values, size_t count) {
   return std::all_of(values, values + count,
                      [](float v) { return std::isfinite(v); });
+}
+
+// The kInvalidArgument admission returns for a NaN or ±inf feature or edge
+// time, counted in nonfinite_rejections.
+Status RejectNonFinite(Metrics* metrics, const std::string& message) {
+  if (metrics != nullptr) {
+    metrics->nonfinite_rejections.fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::InvalidArgument(message);
 }
 
 }  // namespace
@@ -69,12 +77,12 @@ struct SessionShard::Session {
   double finalized_max = 0.0;
 
   // Last score's logit and the key it stays valid under: the same edges
-  // (the graph only grows), the same model state, the same kernel table.
+  // (the graph only grows) and the same model state. Every kernel table
+  // computes the same bits, so a SIMD mode switch keeps the logit valid.
   // edge count -1 = nothing cached.
   float cached_logit = 0.0f;
   int64_t cached_edges = -1;
   uint64_t cached_seq = 0;
-  tensor::SimdMode cached_mode = tensor::SimdMode::kScalar;
 
   double last_touch = 0.0;  // Stream time of the last ingest event.
   int pinned = 0;           // In-flight score requests.
@@ -114,8 +122,8 @@ Status SessionShard::BeginSession(uint64_t session_id, int64_t num_nodes,
                                      std::to_string(f.node));
     }
     if (!AllFinite(f.features.data(), f.features.size())) {
-      return Status::InvalidArgument("non-finite feature for node " +
-                                     std::to_string(f.node));
+      return RejectNonFinite(metrics_, "non-finite feature for node " +
+                                           std::to_string(f.node));
     }
   }
 
@@ -234,7 +242,11 @@ Status SessionShard::AddEdge(uint64_t session_id, int64_t src, int64_t dst,
   if (src < 0 || src >= n || dst < 0 || dst >= n) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
-  if (edge_time < 0.0 || !std::isfinite(edge_time)) {
+  if (!std::isfinite(edge_time)) {
+    return RejectNonFinite(metrics_,
+                           "edge time must be finite and non-negative");
+  }
+  if (edge_time < 0.0) {
     return Status::InvalidArgument("edge time must be finite and "
                                    "non-negative");
   }
@@ -409,13 +421,12 @@ Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
       force_refold = true;
     }
   }
-  // A session scored again with no new edge under the same state and
-  // kernels would fold nothing, rescale nothing and finalize the same
-  // values: reuse the logit. A forced refold always recomputes.
+  // A session scored again with no new edge under the same state would
+  // fold nothing, rescale nothing and finalize the same values: reuse the
+  // logit. A forced refold always recomputes.
   const int64_t edges = s.graph.num_edges();
-  const tensor::SimdMode mode = tensor::ActiveSimdMode();
   if (!force_refold && s.cached_edges == edges &&
-      s.cached_seq == s.state_seq && s.cached_mode == mode) {
+      s.cached_seq == s.state_seq) {
     result->logit = s.cached_logit;
   } else {
     tensor::NoGradGuard no_grad;
@@ -443,7 +454,6 @@ Status SessionShard::Score(uint64_t session_id, ScoreResult* result) {
     s.cached_logit = result->logit;
     s.cached_edges = edges;
     s.cached_seq = s.state_seq;
-    s.cached_mode = mode;
   }
   result->probability = ProbabilityOf(result->logit);
   result->edges_scored = edges;
@@ -601,7 +611,7 @@ Status SessionShard::ImportSession(const SessionState& state, double now) {
     return Status::InvalidArgument("feature matrix size mismatch");
   }
   if (!AllFinite(state.features.data(), state.features.size())) {
-    return Status::InvalidArgument("non-finite feature in snapshot");
+    return RejectNonFinite(metrics_, "non-finite feature in snapshot");
   }
   if (state.x.size() != n * static_cast<size_t>(config.embed_dim) ||
       state.x0.size() != state.x.size()) {
@@ -616,8 +626,11 @@ Status SessionShard::ImportSession(const SessionState& state, double now) {
                                    "model config does not use");
   }
   for (const TemporalEdge& e : state.edges) {
+    if (!std::isfinite(e.time)) {
+      return RejectNonFinite(metrics_, "snapshot edge out of range");
+    }
     if (e.src < 0 || e.src >= state.num_nodes || e.dst < 0 ||
-        e.dst >= state.num_nodes || e.time < 0.0 || !std::isfinite(e.time)) {
+        e.dst >= state.num_nodes || e.time < 0.0) {
       return Status::InvalidArgument("snapshot edge out of range");
     }
   }

@@ -5,9 +5,9 @@
 // The three GEMM-accumulate entry points are thin wrappers over the
 // runtime-dispatched kernel table (tensor/kernels.h): exactly one blocked
 // implementation exists per ISA, and every caller — the recorded ops'
-// forward/backward, the zero-copy inference paths, and the planned executor —
-// goes through the same dispatch. All GEMM kernels are in the bitwise parity
-// class, so training numerics are identical in every SIMD mode.
+// forward/backward, the fused training ops and the zero-copy inference paths
+// — goes through the same dispatch. Every GEMM kernel is bitwise equal to the
+// scalar one, so training numerics are identical in every SIMD mode.
 
 namespace tpgnn::tensor::internal {
 

@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -166,21 +167,75 @@ void RotatePairsScalar(float* out, const float* a, const float* b,
   }
 }
 
+// --- Transcendental maps ---------------------------------------------------
+// kernels_avx2.cc's Exp8, Tanh8 and Sigmoid8 one lane at a time: the same
+// constants, clamps (constant first, so a NaN passes through), branch choice
+// and operation order, and no FMA (this file builds with -ffp-contract=off).
+// Every ISA table's maps equal these bit for bit (kernels.h).
+
+// expf via Cody-Waite range reduction and a degree-6 polynomial (the classic
+// Cephes coefficients).
+inline float ExpPoly(float x) {
+  x = 88.3762626647950f < x ? 88.3762626647950f : x;
+  x = -87.3365478515625f > x ? -87.3365478515625f : x;
+  const float fx = std::floor(x * 1.44269504088896341f + 0.5f);
+  x = x - fx * 0.693359375f;
+  x = x - fx * -2.12194440e-4f;
+  float y = 1.9875691500e-4f;
+  y = y * x + 1.3981999507e-3f;
+  y = y * x + 8.3334519073e-3f;
+  y = y * x + 4.1665795894e-2f;
+  y = y * x + 1.6666665459e-1f;
+  y = y * x + 5.0000001201e-1f;
+  y = y * x + 1.0f;
+  y = y * x + 1.0f;
+  // 2^fx through the exponent field; fx is an integer in [-126, 128]. A NaN
+  // fx leaves y NaN, so its exponent is never read.
+  const int32_t n = fx == fx ? static_cast<int32_t>(fx) : 0;
+  return y * std::bit_cast<float>(static_cast<uint32_t>(n + 127) << 23);
+}
+
+// tanh(x): Cephes split. |x| < 0.625 uses the odd minimax polynomial
+// x + x^3 P(x^2), where 1 - 2/(exp+1) would cancel catastrophically. Larger
+// |x| (and NaN) uses sign(x) * (1 - 2 / (exp(2|x|) + 1)), |x| clamped to 9.2,
+// past which the expression rounds to ±1 anyway.
+inline float TanhPoly(float x) {
+  const uint32_t bits = std::bit_cast<uint32_t>(x);
+  const float ax = std::bit_cast<float>(bits & 0x7fffffffu);
+  if (ax < 0.625f) {
+    const float z = x * x;
+    float p = -5.70498872745e-3f;
+    p = p * z + 2.06390887954e-2f;
+    p = p * z + -5.37397155531e-2f;
+    p = p * z + 1.33314422036e-1f;
+    p = p * z + -3.33332819422e-1f;
+    return x + (x * z) * p;
+  }
+  const float e = ExpPoly(2.0f * (9.2f < ax ? 9.2f : ax));
+  const float large = 1.0f - 2.0f / (e + 1.0f);
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(large) |
+                              (bits & 0x80000000u));
+}
+
+inline float SigmoidPoly(float x) {
+  return 1.0f / (1.0f + ExpPoly(0.0f - x));
+}
+
 void TanhInplaceScalar(float* v, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
-    v[i] = std::tanh(v[i]);
+    v[i] = TanhPoly(v[i]);
   }
 }
 
 void TanhAddScalar(float* dst, const float* src, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
-    dst[i] = std::tanh(src[i] + dst[i]);
+    dst[i] = TanhPoly(src[i] + dst[i]);
   }
 }
 
 void SigmoidBiasScalar(float* v, const float* bias, int64_t n) {
   for (int64_t j = 0; j < n; ++j) {
-    v[j] = 1.0f / (1.0f + std::exp(-(v[j] + bias[j])));
+    v[j] = SigmoidPoly(v[j] + bias[j]);
   }
 }
 
@@ -188,9 +243,11 @@ void GruCandidateScalar(float* out, const float* r, const float* hu,
                         const float* xn, const float* bias, int64_t n) {
   for (int64_t j = 0; j < n; ++j) {
     const float xb = xn[j] + bias[j];
-    out[j] = std::tanh(r[j] * hu[j] + xb);
+    out[j] = TanhPoly(r[j] * hu[j] + xb);
   }
 }
+
+// --- Time encoding and optimizer -------------------------------------------
 
 void Time2VecScalar(float* out, float t, const float* w0, const float* phi0,
                     const float* w, const float* phi, int64_t dim) {
@@ -258,7 +315,6 @@ const Kernels kScalarTable = {
 
 struct Dispatch {
   std::atomic<const Kernels*> table{&kScalarTable};
-  std::atomic<const Kernels*> training{&kScalarTable};
   std::atomic<SimdMode> mode{SimdMode::kScalar};
 };
 
@@ -287,35 +343,8 @@ const Kernels* TableFor(SimdMode mode) {
   return &kScalarTable;
 }
 
-// `isa` with the scalar ulp-class maps swapped in: TrainingKernels().
-Kernels WithScalarUlpMaps(const Kernels& isa) {
-  Kernels table = isa;
-  table.tanh_inplace = kScalarTable.tanh_inplace;
-  table.tanh_add = kScalarTable.tanh_add;
-  table.sigmoid_bias = kScalarTable.sigmoid_bias;
-  table.gru_candidate = kScalarTable.gru_candidate;
-  return table;
-}
-
-// The training table for a concrete mode TableFor() has already accepted.
-const Kernels* TrainingTableFor(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kAvx2: {
-      static const Kernels table = WithScalarUlpMaps(internal::Avx2Kernels());
-      return &table;
-    }
-    case SimdMode::kNeon: {
-      static const Kernels table = WithScalarUlpMaps(internal::NeonKernels());
-      return &table;
-    }
-    default:
-      return &kScalarTable;
-  }
-}
-
 void Install(Dispatch& d, SimdMode mode) {
   d.table.store(TableFor(mode), std::memory_order_release);
-  d.training.store(TrainingTableFor(mode), std::memory_order_release);
   d.mode.store(mode, std::memory_order_release);
 }
 
@@ -340,10 +369,6 @@ const Kernels& ScalarKernels() { return kScalarTable; }
 
 const Kernels& ActiveKernels() {
   return *GetDispatch().table.load(std::memory_order_acquire);
-}
-
-const Kernels& TrainingKernels() {
-  return *GetDispatch().training.load(std::memory_order_acquire);
 }
 
 SimdMode ActiveSimdMode() {

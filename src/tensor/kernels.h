@@ -4,39 +4,36 @@
 #include <cstdint>
 
 // Runtime-dispatched compute kernels (DESIGN.md §4.6). Every numeric loop
-// the per-edge propagation steps, the GRU step, the GEMM wrappers and the
-// zero-copy inference paths execute lives behind one function-pointer table,
-// selected once per process from CPUID with a TPGNN_SIMD=scalar|avx2|auto
-// override. The scalar table is the reference semantics; ISA tables must
-// honour the parity policy below.
+// the per-edge propagation steps, the GRU step, the GEMM wrappers, the
+// recorded tanh/sigmoid ops and the zero-copy inference paths execute lives
+// behind one function-pointer table, selected once per process from CPUID
+// with a TPGNN_SIMD=scalar|avx2|auto override. The scalar table is the
+// reference semantics.
 //
-// Parity policy (tested by tests/tensor/kernels_test.cc):
-//  * Bitwise class — GEMM, copies, adds, blends, rotations, every
-//    time-encoding kernel, and the Adam update: each ISA implementation must
-//    produce bit-identical results to the scalar table for all shapes. This
-//    is achievable because these kernels only vectorize across independent
-//    output elements with the same per-element association and no FMA
-//    contraction; reductions that cannot keep the scalar summation order
-//    (gemm_accumulate_nt's inner dot products) stay scalar on every ISA.
-//  * ulp class (the named tolerance mode, "kernel-ulp") — the saturating
-//    transcendental maps tanh_inplace / tanh_add / sigmoid_bias /
-//    gru_candidate: ISA implementations may evaluate tanh/sigmoid with a
-//    vector exp polynomial instead of libm, and must stay within
-//    kTranscendentalUlpBound ULPs of the scalar kernel per element. Only
-//    inference paths run these through the active table. Training — the
-//    recorded ops in tensor/ops.cc, the fused recurrence ops and the
-//    optimizer — calls only bitwise-class entries, libm and the scalar
-//    ulp-class maps (TrainingKernels() below), so losses, parameters and
-//    checkpoints are ISA-independent.
+// Parity policy (tested by tests/tensor/kernels_test.cc): every entry of
+// every ISA table is bit-identical to the scalar table's, for all shapes and
+// all inputs. This holds because ISA kernels only vectorize across
+// independent output elements, with the scalar kernel's per-element
+// expressions in the same association and no FMA contraction (kernels*.cc
+// build with -ffp-contract=off). Reductions that cannot keep the scalar
+// summation order (gemm_accumulate_nt's inner dot products) stay scalar on
+// every ISA. Training, offline inference and serving all run the active
+// table, so losses, parameters, checkpoints and scores are ISA-independent.
+//
+// The transcendental maps evaluate exp, tanh and sigmoid with one polynomial
+// on every ISA, not libm: exp by Cody-Waite range reduction and the Cephes
+// degree-6 polynomial on an argument clamped to [-87.34, 88.38]; tanh by
+// x + x^3 P(x^2) for |x| < 0.625 and sign(x) * (1 - 2 / (exp(2 min(|x|,
+// 9.2)) + 1)) above; sigmoid(x) = 1 / (1 + exp(0 - x)). Special values:
+//   tanh(NaN) = NaN, tanh(±Inf) = ±1, tanh(±0) = +0;
+//   sigmoid(NaN) = NaN, sigmoid(+Inf) = 1, sigmoid(-Inf) = 0,
+//   sigmoid(±0) = 0.5.
+// sin and cos stay libm, called per element on every ISA.
 
 namespace tpgnn::tensor {
 
-// Maximum ULP distance allowed between the scalar and any ISA implementation
-// of the ulp-class kernels above (the "kernel-ulp" tolerance mode).
-inline constexpr int kTranscendentalUlpBound = 8;
-
 struct Kernels {
-  // --- GEMM (bitwise) ------------------------------------------------------
+  // --- GEMM ------------------------------------------------------------------
   // C += A x B (C [n, m], A [n, k], B [k, m]).
   void (*gemm_accumulate)(const float* a, const float* b, float* c, int64_t n,
                           int64_t k, int64_t m);
@@ -48,7 +45,7 @@ struct Kernels {
   void (*gemm_accumulate_tn)(const float* a, const float* b, float* c,
                              int64_t n, int64_t k, int64_t m);
 
-  // --- Linear elementwise (bitwise) ----------------------------------------
+  // --- Linear elementwise ----------------------------------------------------
   void (*copy)(float* dst, const float* src, int64_t n);
   void (*zero)(float* dst, int64_t n);
   // dst[i] = src[i] + dst[i] (the SUM fold's association order).
@@ -62,7 +59,7 @@ struct Kernels {
   void (*rotate_pairs)(float* out, const float* a, const float* b,
                        const float* c, const float* s, int64_t n);
 
-  // --- Transcendental maps (ulp class) -------------------------------------
+  // --- Transcendental maps (the polynomial above) ---------------------------
   void (*tanh_inplace)(float* v, int64_t n);
   // dst[i] = tanh(src[i] + dst[i]) — the fused stabilized-SUM step.
   void (*tanh_add)(float* dst, const float* src, int64_t n);
@@ -73,7 +70,7 @@ struct Kernels {
   void (*gru_candidate)(float* out, const float* r, const float* hu,
                         const float* xn, const float* bias, int64_t n);
 
-  // --- Time encoding (bitwise; sin/cos stay libm on every ISA) -------------
+  // --- Time encoding (sin/cos stay libm on every ISA) ------------------------
   // out[0] = w0*t + phi0; out[1 + j] = sin(w[j]*t + phi[j]), dim-1 wide.
   void (*time2vec)(float* out, float t, const float* w0, const float* phi0,
                    const float* w, const float* phi, int64_t dim);
@@ -84,7 +81,7 @@ struct Kernels {
   void (*rotation)(float* cos_out, float* sin_out, float delta,
                    const float* w, int64_t n);
 
-  // --- Optimizer (bitwise) -------------------------------------------------
+  // --- Optimizer -------------------------------------------------------------
   // One Adam step over n parameters (nn::Adam), per element:
   //   m = beta1*m + (1 - beta1)*g;  v = beta2*v + (1 - beta2)*g*g;
   //   p -= lr * (m / bias1) / (sqrt(v / bias2) + eps).
@@ -111,14 +108,6 @@ const Kernels& ScalarKernels();
 // process aborts on an explicit request for an ISA this build or CPU cannot
 // run — a forced-ISA CI leg must not silently test scalar), else kAuto.
 const Kernels& ActiveKernels();
-
-// The table the fused training ops run (the SUM propagation and the GRU
-// sequence): ActiveKernels()' bitwise-class entries with ScalarKernels()'
-// four ulp-class maps (tanh_inplace, tanh_add, sigmoid_bias, gru_candidate).
-// Training keeps the vector GEMM and stays bit-identical across SIMD modes.
-// Follows SetSimdMode like ActiveKernels(). Goes away once every entry is
-// bitwise (ROADMAP item 9).
-const Kernels& TrainingKernels();
 
 // The concrete mode ActiveKernels() resolved to (never kAuto).
 SimdMode ActiveSimdMode();

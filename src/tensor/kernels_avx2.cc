@@ -1,15 +1,14 @@
 // AVX2 kernel table (DESIGN.md §4.6). This translation unit is compiled with
-// -mavx2 and deliberately WITHOUT -mfma. The bitwise-class kernels promise
-// bit-identical results to the scalar table through one invariant: each
-// output element goes through the same IEEE mul/add expressions, in the same
+// -mavx2 -ffp-contract=off and deliberately WITHOUT -mfma. Every kernel
+// promises bit-identical results to the scalar table through one invariant:
+// each output element goes through the same IEEE expressions, in the same
 // association and order, as in the scalar kernel. Loop order, blocking and
 // where partial results live are free — the GEMM keeps C rows in registers
 // across the k loop, which the scalar kernel does not — but an FMA
 // contraction (one rounding instead of two) would break the invariant
-// silently. The ulp-class transcendental maps use a vector exp polynomial
-// instead of libm, tails included (masked vectors), and are covered by the
-// "kernel-ulp" tolerance mode (kTranscendentalUlpBound,
-// tests/tensor/kernels_test.cc).
+// silently. The transcendental maps run the exp/tanh/sigmoid polynomial that
+// the scalar table evaluates one lane at a time, tails included (masked
+// vectors).
 
 #include "tensor/kernels.h"
 
@@ -28,9 +27,9 @@ namespace {
 // --- Vector exp/tanh/sigmoid ------------------------------------------------
 
 // expf via Cody-Waite range reduction and a degree-6 polynomial (the classic
-// Cephes coefficients). Max error ~2 ulp over the clamped domain, which the
-// tanh/sigmoid compositions below keep within kTranscendentalUlpBound of the
-// libm scalar kernels.
+// Cephes coefficients), max error ~2 ulp over the clamped domain. Each clamp
+// takes the constant first: min/max return their second operand when either
+// is NaN, so a NaN passes through.
 inline __m256 Exp8(__m256 x) {
   const __m256 kHi = _mm256_set1_ps(88.3762626647950f);
   const __m256 kLo = _mm256_set1_ps(-87.3365478515625f);
@@ -40,8 +39,8 @@ inline __m256 Exp8(__m256 x) {
   const __m256 kHalf = _mm256_set1_ps(0.5f);
   const __m256 kOne = _mm256_set1_ps(1.0f);
 
-  x = _mm256_min_ps(x, kHi);
-  x = _mm256_max_ps(x, kLo);
+  x = _mm256_min_ps(kHi, x);
+  x = _mm256_max_ps(kLo, x);
 
   __m256 fx = _mm256_add_ps(_mm256_mul_ps(x, kLog2e), kHalf);
   fx = _mm256_floor_ps(fx);
@@ -66,7 +65,7 @@ inline __m256 Exp8(__m256 x) {
 
 // tanh(x): Cephes split. |x| < 0.625 uses the odd minimax polynomial
 // x + x^3 P(x^2) — the 1 - 2/(exp+1) form cancels catastrophically near
-// zero and would blow the kernel-ulp bound. Larger |x| uses
+// zero. Larger |x| (and NaN) uses
 // sign(x) * (1 - 2 / (exp(2|x|) + 1)); |x| clamped to 9.2, past which the
 // expression rounds to ±1 in float anyway.
 inline __m256 Tanh8(__m256 x) {
@@ -87,7 +86,7 @@ inline __m256 Tanh8(__m256 x) {
       _mm256_add_ps(x, _mm256_mul_ps(_mm256_mul_ps(x, z), p));
 
   // Large branch.
-  ax = _mm256_min_ps(ax, _mm256_set1_ps(9.2f));
+  ax = _mm256_min_ps(_mm256_set1_ps(9.2f), ax);
   const __m256 e = Exp8(_mm256_mul_ps(kTwo, ax));
   const __m256 large = _mm256_or_ps(
       _mm256_sub_ps(kOne, _mm256_div_ps(kTwo, _mm256_add_ps(e, kOne))), sign);
@@ -104,7 +103,7 @@ inline __m256 Sigmoid8(__m256 x) {
   return _mm256_div_ps(kOne, _mm256_add_ps(kOne, e));
 }
 
-// --- GEMM (bitwise class) ---------------------------------------------------
+// --- GEMM -------------------------------------------------------------------
 // Per-element association invariant: every C element receives, for each
 // 4-wide k tile in k order, c + ((((a0*b0) + a1*b1) + a2*b2) + a3*b3), then
 // c + a*b for each leftover k, and a row skips exactly the all-zero tiles
@@ -112,33 +111,56 @@ inline __m256 Sigmoid8(__m256 x) {
 // expression sequence per element, so the result is bit-identical whatever
 // the loop nest. The nest here differs on purpose: C stays in registers
 // across the whole k loop — rows in pairs, 32-column blocks (eight
-// accumulators for a pair), then 8-column blocks, then scalar columns — so
-// no C element round-trips through memory between tiles. The accumulators
-// are named registers, not arrays: GCC -O2 leaves array loops rolled and
-// spills them.
+// accumulators for a pair), then 8-column blocks, then one masked block of
+// the leftover columns — so no C element round-trips through memory between
+// tiles. The accumulators are named registers, not arrays: GCC -O2 leaves
+// array loops rolled and spills them.
 
 constexpr int64_t kGemmTile = 4;
+
+// Selects the first `rem` lanes, 0 < rem < 8.
+inline __m256i TailMask(int64_t rem) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Reads and writes all eight lanes of a block.
+struct AllLanes {
+  __m256 Load(const float* p) const { return _mm256_loadu_ps(p); }
+  void Store(float* p, __m256 v) const { _mm256_storeu_ps(p, v); }
+};
+
+// Reads and writes the lanes `mask` selects; the others load as zero and are
+// never stored.
+struct MaskedLanes {
+  __m256i mask;
+  __m256 Load(const float* p) const { return _mm256_maskload_ps(p, mask); }
+  void Store(float* p, __m256 v) const { _mm256_maskstore_ps(p, mask, v); }
+};
 
 inline bool ZeroTile(const float* a) {
   return a[0] == 0.0f && a[1] == 0.0f && a[2] == 0.0f && a[3] == 0.0f;
 }
 
 // c + ((((a0*b0) + a1*b1) + a2*b2) + a3*b3) per lane; the B rows are `m`
-// apart.
+// apart and read through `lanes`.
+template <typename Lanes = AllLanes>
 __attribute__((always_inline)) inline __m256 AddTile8(
     __m256 c, __m256 a0, __m256 a1, __m256 a2, __m256 a3, const float* b,
-    int64_t m) {
-  __m256 sum = _mm256_mul_ps(a0, _mm256_loadu_ps(b));
-  sum = _mm256_add_ps(sum, _mm256_mul_ps(a1, _mm256_loadu_ps(b + m)));
-  sum = _mm256_add_ps(sum, _mm256_mul_ps(a2, _mm256_loadu_ps(b + 2 * m)));
-  sum = _mm256_add_ps(sum, _mm256_mul_ps(a3, _mm256_loadu_ps(b + 3 * m)));
+    int64_t m, Lanes lanes = {}) {
+  __m256 sum = _mm256_mul_ps(a0, lanes.Load(b));
+  sum = _mm256_add_ps(sum, _mm256_mul_ps(a1, lanes.Load(b + m)));
+  sum = _mm256_add_ps(sum, _mm256_mul_ps(a2, lanes.Load(b + 2 * m)));
+  sum = _mm256_add_ps(sum, _mm256_mul_ps(a3, lanes.Load(b + 3 * m)));
   return _mm256_add_ps(c, sum);
 }
 
 // c + a*b per lane (one leftover k).
+template <typename Lanes = AllLanes>
 __attribute__((always_inline)) inline __m256 AddOne8(__m256 c, __m256 a,
-                                                     const float* b) {
-  return _mm256_add_ps(c, _mm256_mul_ps(a, _mm256_loadu_ps(b)));
+                                                     const float* b,
+                                                     Lanes lanes = {}) {
+  return _mm256_add_ps(c, _mm256_mul_ps(a, lanes.Load(b)));
 }
 
 // Columns [0, 32) of one row (kPair: two rows) of C, B and C pointers
@@ -217,56 +239,38 @@ void GemmBlock32(const float* ar0, const float* ar1, const float* b,
   }
 }
 
-// Columns [0, 8) of one row (kPair: two rows); GemmBlock32 at one vector.
-template <bool kPair>
+// Columns [0, 8) of one row (kPair: two rows), or the first of them that
+// `lanes` selects; GemmBlock32 at one vector.
+template <bool kPair, typename Lanes = AllLanes>
 void GemmBlock8(const float* ar0, const float* ar1, const float* b, float* c0,
-                float* c1, int64_t k, int64_t m) {
-  __m256 x = _mm256_loadu_ps(c0);
-  __m256 y = kPair ? _mm256_loadu_ps(c1) : _mm256_setzero_ps();
+                float* c1, int64_t k, int64_t m, Lanes lanes = {}) {
+  __m256 x = lanes.Load(c0);
+  __m256 y = kPair ? lanes.Load(c1) : _mm256_setzero_ps();
   int64_t kk = 0;
   for (; kk + kGemmTile <= k; kk += kGemmTile) {
     const float* bt = b + kk * m;
     if (!ZeroTile(ar0 + kk)) {
       x = AddTile8(x, _mm256_set1_ps(ar0[kk]), _mm256_set1_ps(ar0[kk + 1]),
                    _mm256_set1_ps(ar0[kk + 2]), _mm256_set1_ps(ar0[kk + 3]),
-                   bt, m);
+                   bt, m, lanes);
     }
     if constexpr (kPair) {
       if (!ZeroTile(ar1 + kk)) {
         y = AddTile8(y, _mm256_set1_ps(ar1[kk]), _mm256_set1_ps(ar1[kk + 1]),
                      _mm256_set1_ps(ar1[kk + 2]), _mm256_set1_ps(ar1[kk + 3]),
-                     bt, m);
+                     bt, m, lanes);
       }
     }
   }
   for (; kk < k; ++kk) {
     const float* bk = b + kk * m;
-    if (ar0[kk] != 0.0f) x = AddOne8(x, _mm256_set1_ps(ar0[kk]), bk);
+    if (ar0[kk] != 0.0f) x = AddOne8(x, _mm256_set1_ps(ar0[kk]), bk, lanes);
     if constexpr (kPair) {
-      if (ar1[kk] != 0.0f) y = AddOne8(y, _mm256_set1_ps(ar1[kk]), bk);
+      if (ar1[kk] != 0.0f) y = AddOne8(y, _mm256_set1_ps(ar1[kk]), bk, lanes);
     }
   }
-  _mm256_storeu_ps(c0, x);
-  if constexpr (kPair) _mm256_storeu_ps(c1, y);
-}
-
-// Columns [j0, m) of one row, one column at a time in a scalar register.
-void GemmColumnsScalar(const float* arow, const float* b, float* crow,
-                       int64_t k, int64_t m, int64_t j0) {
-  for (int64_t j = j0; j < m; ++j) {
-    float acc = crow[j];
-    int64_t kk = 0;
-    for (; kk + kGemmTile <= k; kk += kGemmTile) {
-      if (ZeroTile(arow + kk)) continue;
-      const float* bt = b + kk * m + j;
-      acc += arow[kk] * bt[0] + arow[kk + 1] * bt[m] +
-             arow[kk + 2] * bt[2 * m] + arow[kk + 3] * bt[3 * m];
-    }
-    for (; kk < k; ++kk) {
-      if (arow[kk] != 0.0f) acc += arow[kk] * b[kk * m + j];
-    }
-    crow[j] = acc;
-  }
+  lanes.Store(c0, x);
+  if constexpr (kPair) lanes.Store(c1, y);
 }
 
 // Every column of one row (kPair: two rows).
@@ -280,8 +284,10 @@ void GemmRows(const float* ar0, const float* ar1, const float* b, float* c0,
   for (; j + 8 <= m; j += 8) {
     GemmBlock8<kPair>(ar0, ar1, b + j, c0 + j, c1 + j, k, m);
   }
-  GemmColumnsScalar(ar0, b, c0, k, m, j);
-  if constexpr (kPair) GemmColumnsScalar(ar1, b, c1, k, m, j);
+  if (j < m) {
+    GemmBlock8<kPair>(ar0, ar1, b + j, c0 + j, c1 + j, k, m,
+                      MaskedLanes{TailMask(m - j)});
+  }
 }
 
 void GemmAccumulateAvx2(const float* a, const float* b, float* c, int64_t n,
@@ -297,7 +303,7 @@ void GemmAccumulateAvx2(const float* a, const float* b, float* c, int64_t n,
     GemmRows<false>(a + i * k, a + i * k, b, c + i * m, c + i * m, k, m);
   }
   // GCC 12 emits no vzeroupper on this function's exits, and legacy-SSE
-  // code run afterwards with dirty upper YMM halves (libm's tanhf/expf in
+  // code run afterwards with dirty upper YMM halves (libm's sinf/expf in
   // the recorded ops) slows down several-fold.
   _mm256_zeroupper();
 }
@@ -361,7 +367,7 @@ void GemmAccumulateTNAvx2(const float* a, const float* b, float* c, int64_t n,
   }
 }
 
-// --- Linear elementwise (bitwise class) -------------------------------------
+// --- Linear elementwise -----------------------------------------------------
 
 void CopyAvx2(float* dst, const float* src, int64_t n) {
   if (n > 0) std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
@@ -427,68 +433,58 @@ void RotatePairsAvx2(float* out, const float* a, const float* b,
   }
 }
 
-// --- Transcendental maps (ulp class) ----------------------------------------
+// --- Transcendental maps ----------------------------------------------------
 // Each map runs its vector body over the whole array: a tail of fewer than
 // 8 elements is one masked vector (maskload zero-fills the inactive lanes,
-// maskstore writes only the active ones), not per-lane libm. Every element
-// is then within the kernel-ulp bound of the scalar kernel, full lane or
-// tail alike.
+// maskstore writes only the active ones), so every element, full lane or
+// tail alike, takes the same polynomial.
 
-// Selects the first `rem` lanes, 0 < rem < 8.
-inline __m256i TailMask(int64_t rem) {
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)),
-                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
-// Runs `body(offset, load, store)` over [0, n) in 8-lane steps, the last
-// step masked. `load(p)` reads the step's lanes of `p`; `store(p, v)`
-// writes them.
+// Runs `body(offset, lanes)` over [0, n) in 8-lane steps, the last step
+// masked: `lanes` (AllLanes or MaskedLanes) loads and stores the step's
+// lanes.
 template <typename Body>
 __attribute__((always_inline)) inline void ForEachVector(int64_t n,
                                                          Body body) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    body(
-        i, [](const float* p) { return _mm256_loadu_ps(p); },
-        [](float* p, __m256 v) { _mm256_storeu_ps(p, v); });
+    body(i, AllLanes{});
   }
   if (i < n) {
-    const __m256i mask = TailMask(n - i);
-    body(
-        i, [mask](const float* p) { return _mm256_maskload_ps(p, mask); },
-        [mask](float* p, __m256 v) { _mm256_maskstore_ps(p, mask, v); });
+    body(i, MaskedLanes{TailMask(n - i)});
   }
 }
 
 void TanhInplaceAvx2(float* v, int64_t n) {
-  ForEachVector(n, [&](int64_t i, auto load, auto store) {
-    store(v + i, Tanh8(load(v + i)));
+  ForEachVector(n, [&](int64_t i, auto lanes) {
+    lanes.Store(v + i, Tanh8(lanes.Load(v + i)));
   });
 }
 
 void TanhAddAvx2(float* dst, const float* src, int64_t n) {
-  ForEachVector(n, [&](int64_t i, auto load, auto store) {
-    store(dst + i, Tanh8(_mm256_add_ps(load(src + i), load(dst + i))));
+  ForEachVector(n, [&](int64_t i, auto lanes) {
+    lanes.Store(dst + i,
+                Tanh8(_mm256_add_ps(lanes.Load(src + i), lanes.Load(dst + i))));
   });
 }
 
 void SigmoidBiasAvx2(float* v, const float* bias, int64_t n) {
-  ForEachVector(n, [&](int64_t i, auto load, auto store) {
-    store(v + i, Sigmoid8(_mm256_add_ps(load(v + i), load(bias + i))));
+  ForEachVector(n, [&](int64_t i, auto lanes) {
+    lanes.Store(v + i, Sigmoid8(_mm256_add_ps(lanes.Load(v + i),
+                                              lanes.Load(bias + i))));
   });
 }
 
 void GruCandidateAvx2(float* out, const float* r, const float* hu,
                       const float* xn, const float* bias, int64_t n) {
-  ForEachVector(n, [&](int64_t i, auto load, auto store) {
-    const __m256 xb = _mm256_add_ps(load(xn + i), load(bias + i));
-    const __m256 arg =
-        _mm256_add_ps(_mm256_mul_ps(load(r + i), load(hu + i)), xb);
-    store(out + i, Tanh8(arg));
+  ForEachVector(n, [&](int64_t i, auto lanes) {
+    const __m256 xb = _mm256_add_ps(lanes.Load(xn + i), lanes.Load(bias + i));
+    const __m256 arg = _mm256_add_ps(
+        _mm256_mul_ps(lanes.Load(r + i), lanes.Load(hu + i)), xb);
+    lanes.Store(out + i, Tanh8(arg));
   });
 }
 
-// --- Time encoding (bitwise class) ------------------------------------------
+// --- Time encoding ----------------------------------------------------------
 // The phase w*t + phi is computed with vector mul/add (per-lane identical to
 // scalar); sin/cos themselves stay libm on every ISA so the periodic
 // channels — whose arguments are raw session timestamps in the invariant
@@ -554,7 +550,7 @@ void RotationAvx2(float* cos_out, float* sin_out, float delta, const float* w,
   }
 }
 
-// --- Optimizer (bitwise class) ----------------------------------------------
+// --- Optimizer --------------------------------------------------------------
 // Eight parameters per step through the scalar loop's expressions: IEEE
 // mul/add/div/sqrt in the same association, no FMA.
 

@@ -1,10 +1,10 @@
 // NEON kernel table (DESIGN.md §4.6), compiled only on ARM targets with
-// Advanced SIMD. NEON covers the bitwise class — GEMM and the linear
-// elementwise kernels — with 4-lane vmul/vadd sequences matching the scalar
-// association exactly (no vfma, same reason the AVX2 table avoids FMA). The
-// ulp-class transcendental maps and the time-encoding kernels delegate to the
-// scalar table: they stay bitwise-equal to the reference by construction, so
-// this table has no tolerance mode at all.
+// Advanced SIMD. NEON covers GEMM and the linear elementwise kernels with
+// 4-lane vmul/vadd sequences matching the scalar association exactly (no
+// vfma, and the TU builds with -ffp-contract=off so the compiler adds none,
+// same reason the AVX2 table avoids FMA). The transcendental maps, the
+// time-encoding kernels and the Adam update delegate to the scalar table, so
+// they equal the reference by construction.
 
 #include "tensor/kernels.h"
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "tensor/gemm.h"
+#include "tensor/kernels.h"
 #include "util/buffer_pool.h"
 #include "util/logging.h"
 
@@ -191,16 +192,13 @@ Tensor UnaryEw(const char* name, const Tensor& a, Fwd fwd, Dfdx dfdx) {
 // Unary elementwise operators whose derivative is a function of the output
 // alone (Sigmoid, Tanh, Exp, Sqrt): the backward closure reads the saved
 // forward activations from the output impl instead of recomputing the
-// transcendental per element.
+// transcendental per element. `fwd(in, out, n)` fills the zero-filled output.
 template <typename Fwd, typename Dfdy>
 Tensor UnaryEwFromOutput(const char* name, const Tensor& a, Fwd fwd,
                          Dfdy dfdy) {
   const int64_t n = a.numel();
   std::vector<float> out = OutBuffer(n);
-  const std::vector<float>& ad = a.data();
-  for (int64_t i = 0; i < n; ++i) {
-    out[static_cast<size_t>(i)] = fwd(ad[static_cast<size_t>(i)]);
-  }
+  fwd(a.data().data(), out.data(), n);
   return MakeResult(
       name, {a}, a.shape(), std::move(out), [&](TensorImpl* out_impl) {
         auto a_impl = a.impl();
@@ -212,6 +210,14 @@ Tensor UnaryEwFromOutput(const char* name, const Tensor& a, Fwd fwd,
           }
         };
       });
+}
+
+// A UnaryEwFromOutput forward applying `f` to each element.
+template <typename F>
+auto PerElement(F f) {
+  return [f](const float* in, float* out, int64_t n) {
+    for (int64_t i = 0; i < n; ++i) out[i] = f(in[i]);
+  };
 }
 
 }  // namespace
@@ -275,7 +281,7 @@ Tensor Neg(const Tensor& a) {
 
 Tensor Exp(const Tensor& a) {
   return UnaryEwFromOutput(
-      "Exp", a, [](float x) { return std::exp(x); },
+      "Exp", a, PerElement([](float x) { return std::exp(x); }),
       [](float y) { return y; });
 }
 
@@ -287,7 +293,7 @@ Tensor Log(const Tensor& a) {
 
 Tensor Sqrt(const Tensor& a) {
   return UnaryEwFromOutput(
-      "Sqrt", a, [](float x) { return std::sqrt(x); },
+      "Sqrt", a, PerElement([](float x) { return std::sqrt(x); }),
       [](float y) { return 0.5f / y; });
 }
 
@@ -303,15 +309,27 @@ Tensor Cos(const Tensor& a) {
       [](float x) { return -std::sin(x); });
 }
 
+// Tanh and Sigmoid run the kernel table's maps, so a recorded composition
+// equals the fused training ops and the inference steps bit for bit.
 Tensor Tanh(const Tensor& a) {
   return UnaryEwFromOutput(
-      "Tanh", a, [](float x) { return std::tanh(x); },
+      "Tanh", a,
+      [](const float* in, float* out, int64_t n) {
+        ActiveKernels().copy(out, in, n);
+        ActiveKernels().tanh_inplace(out, n);
+      },
       [](float y) { return 1.0f - y * y; });
 }
 
 Tensor Sigmoid(const Tensor& a) {
+  // The output starts at zero and the map adds its "bias" `in`: sigmoid of
+  // 0 + x is sigmoid(x) bit for bit, -0 included (exp's argument 0 - x is +0
+  // either way).
   return UnaryEwFromOutput(
-      "Sigmoid", a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
+      "Sigmoid", a,
+      [](const float* in, float* out, int64_t n) {
+        ActiveKernels().sigmoid_bias(out, in, n);
+      },
       [](float y) { return y * (1.0f - y); });
 }
 

@@ -41,7 +41,7 @@ struct Shape {
 };
 
 // The default model's extractor (38-wide SUM rows into a 32-wide GRU) and an
-// odd shape that leaves scalar GEMM columns and masked map tails.
+// odd shape that leaves masked GEMM column blocks and masked map tails.
 const Shape kShapes[] = {{38, 32}, {5, 7}};
 
 std::vector<TemporalEdge> RandomEdges(int64_t count, int64_t num_nodes,

@@ -6,6 +6,7 @@
 
 #include "data/datasets.h"
 #include "eval/trainer.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace tpgnn::core {
@@ -103,6 +104,26 @@ TEST(TpGnnModelTest, AllVariantsProduceFiniteLogits) {
       EXPECT_TRUE(std::isfinite(logit.item()))
           << model.name() << " produced non-finite logit";
     }
+  }
+}
+
+// The offline forward (the reference serving must equal) turns a NaN
+// feature into a NaN logit in every SIMD mode: the kernel maps propagate
+// NaN (tensor/kernels.h). An AVX2 tanh whose clamp dropped the NaN once
+// scored this graph -0.344.
+TEST(TpGnnModelTest, NanFeatureGivesANanLogitInEveryMode) {
+  TpGnnModel model(TpGnnConfig{}, /*seed=*/7);
+  TemporalGraph g = SmallGraph();
+  g.SetNodeFeature(2, {0.2f, std::nanf(""), 0.0f});
+  for (tensor::SimdMode mode :
+       {tensor::SimdMode::kScalar, tensor::SimdMode::kAvx2,
+        tensor::SimdMode::kNeon}) {
+    if (!tensor::SimdModeSupported(mode)) continue;
+    tensor::ScopedSimdMode pin(mode);
+    tensor::NoGradGuard no_grad;
+    Rng rng(1);
+    EXPECT_TRUE(std::isnan(model.ForwardLogit(g, false, rng).item()))
+        << tensor::SimdModeName(mode);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 
@@ -261,10 +262,9 @@ TEST(InvariantBasisTest, RecordedAndInferenceForwardsBitIdentical) {
       g.AddEdge(3, 0, 3.0);  // Duplicate timestamp.
       g.AddEdge(0, 2, 7.0);
       Tensor recorded = prop.Forward(g, g.ChronologicalEdges());
-      // In scalar SIMD mode the planned inference path is bit-identical to
-      // the recorded forward; a vector ISA moves tanh/sigmoid into the
-      // kernel-ulp tolerance class (tensor/kernels.h), so the active-mode
-      // check is a close-comparison instead.
+      // The inference path is bit-identical to the recorded forward in
+      // scalar SIMD mode and in the active one (tensor/kernels.h: every
+      // kernel entry is bitwise across tables).
       Tensor inference;
       {
         tensor::ScopedSimdMode scalar_mode(tensor::SimdMode::kScalar);
@@ -282,7 +282,12 @@ TEST(InvariantBasisTest, RecordedAndInferenceForwardsBitIdentical) {
         tensor::NoGradGuard no_grad;
         active = prop.Forward(g, g.ChronologicalEdges());
       }
-      EXPECT_TRUE(tensor::AllClose(recorded, active, 1e-4f, 1e-5f));
+      ASSERT_EQ(recorded.shape(), active.shape());
+      EXPECT_EQ(std::memcmp(recorded.data().data(), active.data().data(),
+                            recorded.data().size() * sizeof(float)),
+                0)
+          << "updater " << static_cast<int>(updater) << " normalize "
+          << normalize;
     }
   }
 }

@@ -56,8 +56,9 @@ struct GoldenRun {
 };
 
 GoldenRun RunGoldenConfig() {
-  // Goldens are recorded against the scalar kernels; a vector ISA would make
-  // the inference-side numbers ISA-dependent (tensor/kernels.h).
+  // Goldens are recorded against the scalar kernels. Every table computes
+  // the same bits (tensor/kernels.h); TrainingIsBitIdenticalAcrossSimdModes
+  // checks that on its own.
   tensor::ScopedSimdMode scalar_mode(tensor::SimdMode::kScalar);
   auto dataset = data::MakeDataset(data::HdfsSpec(), 40, /*seed=*/21);
   auto split = data::SplitDataset(dataset, 0.5);
@@ -116,10 +117,11 @@ TEST(GoldenDeterminismTest, BackToBackRunsAreBitIdentical) {
   EXPECT_EQ(a.accuracy, b.accuracy);
 }
 
-// Training is ISA-independent: its ops call only bitwise-class kernels and
-// libm (tensor/kernels.h), so the golden run under the AVX2 table ends with
-// the same losses and the same parameters, bit for bit, as under the scalar
-// table. A training op that reached an ulp-class map would break this.
+// Training is ISA-independent: every kernel entry is bitwise across tables
+// and the rest is libm (tensor/kernels.h), so the golden run under the AVX2
+// table ends with the same losses and the same parameters, bit for bit, as
+// under the scalar table. A vector kernel that drifted from the scalar
+// definition would break this.
 TEST(GoldenDeterminismTest, TrainingIsBitIdenticalAcrossSimdModes) {
   struct Trained {
     std::vector<double> losses;

@@ -78,10 +78,8 @@ TEST(PoolParityTest, TrainingLossesBitIdenticalPoolOnVsOff) {
 }
 
 // Runs the recorded (grad-enabled) and the zero-copy (NoGradGuard) forward
-// over the same graphs. In scalar SIMD mode the two are bitwise equal; under
-// a vector ISA the inference path's tanh/sigmoid land in the kernel-ulp
-// tolerance class (tensor/kernels.h), so the active-mode comparison uses a
-// tolerance instead.
+// over the same graphs. The two are bitwise equal in scalar SIMD mode and in
+// the active one (tensor/kernels.h).
 void ExpectInferenceMatchesRecordedForward(const core::TpGnnConfig& config) {
   core::TpGnnModel model(config, 13);
   graph::GraphDataset dataset = TinyDataset(6);
@@ -100,8 +98,7 @@ void ExpectInferenceMatchesRecordedForward(const core::TpGnnConfig& config) {
       tensor::NoGradGuard no_grad;
       const float active =
           model.ForwardLogit(sample.graph, /*training=*/false, rng).item();
-      EXPECT_NEAR(recorded.item(), active,
-                  1e-5f + 1e-4f * std::abs(recorded.item()));
+      EXPECT_EQ(recorded.item(), active);
     }
   }
 }

@@ -85,6 +85,12 @@ TEST(ServerTest, NonFiniteFeatureIsRejectedTypedAndServingContinues) {
   Status status = client.IngestBatch(events, &applied);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   EXPECT_EQ(applied, bad_event);
+  // Counted once, in the engine and in the METRICS payload.
+  EXPECT_EQ(harness.engine().metrics().nonfinite_rejections.load(), 1u);
+  std::string json;
+  ASSERT_TRUE(client.GetMetricsJson(&json).ok());
+  EXPECT_NE(json.find("\"nonfinite_rejections\": 1,"), std::string::npos)
+      << json;
 
   // The connection and the good session keep serving.
   EXPECT_TRUE(client.Ping().ok());

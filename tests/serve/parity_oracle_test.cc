@@ -22,6 +22,7 @@
 #include "data/datasets.h"
 #include "serve/inference_engine.h"
 #include "serve_test_util.h"
+#include "tensor/kernels.h"
 #include "util/failpoint.h"
 
 namespace tpgnn::serve {
@@ -128,6 +129,41 @@ TEST(ParityOracleTest, AcceptsWhatAnInProcessEngineScoresAtEveryPrefix) {
           // The disorder reached the shard: it refolded.
           EXPECT_GT(engine.metrics().state_refolds.load(), 0u);
         }
+      }
+    }
+  }
+}
+
+// Every kernel table computes the same bits (tensor/kernels.h), so scores
+// served in AVX2 mode pass an oracle whose offline forwards ran in scalar
+// mode.
+TEST(ParityOracleTest, ScoresServedInAvx2ModeEqualTheScalarModeForward) {
+  if (!tensor::SimdModeSupported(tensor::SimdMode::kAvx2)) {
+    GTEST_SKIP() << "no AVX2 table on this build and CPU";
+  }
+  const graph::GraphDataset dataset = OracleDataset();
+  for (const core::Updater updater :
+       {core::Updater::kSum, core::Updater::kGru}) {
+    for (const core::TimeBasis basis :
+         {core::TimeBasis::kAbsolute, core::TimeBasis::kInvariant}) {
+      core::TpGnnConfig config = TinyServeConfig();
+      config.updater = updater;
+      config.time_basis = basis;
+      const std::vector<Event> events =
+          InterleavedStream(dataset, /*out_of_order=*/true);
+      std::vector<ScoreResult> scored;
+      {
+        tensor::ScopedSimdMode avx2(tensor::SimdMode::kAvx2);
+        InferenceEngine engine(config, kSeed, {});
+        scored = ScoreEveryPrefix(engine, events);
+      }
+      tensor::ScopedSimdMode scalar(tensor::SimdMode::kScalar);
+      ParityOracle oracle(config, kSeed);
+      oracle.Record(events);
+      ASSERT_EQ(scored.size(), events.size());
+      for (const ScoreResult& result : scored) {
+        const Status parity = oracle.Check(result);
+        EXPECT_TRUE(parity.ok()) << parity.ToString();
       }
     }
   }

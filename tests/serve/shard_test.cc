@@ -86,6 +86,7 @@ TEST_F(ShardTest, NonFiniteFeaturesAndTimesAreRejected) {
         << bad;
   }
   EXPECT_EQ(shard.resident_sessions(), 0u);
+  EXPECT_EQ(metrics_.nonfinite_rejections.load(), 3u);
 
   ASSERT_TRUE(Begin(shard, 1).ok());
   for (float bad : kBad) {
@@ -93,6 +94,11 @@ TEST_F(ShardTest, NonFiniteFeaturesAndTimesAreRejected) {
               StatusCode::kInvalidArgument)
         << bad;
   }
+  EXPECT_EQ(metrics_.nonfinite_rejections.load(), 6u);
+  // A negative time is invalid but finite: rejected, not counted.
+  EXPECT_EQ(shard.AddEdge(1, 0, 1, -1.0, 0.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(metrics_.nonfinite_rejections.load(), 6u);
   ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
   SessionState good;
   ASSERT_TRUE(shard.ExportSession(1, &good).ok());
@@ -111,9 +117,11 @@ TEST_F(ShardTest, NonFiniteFeaturesAndTimesAreRejected) {
         << "edge time " << bad;
   }
   EXPECT_EQ(dest.resident_sessions(), 0u);
+  EXPECT_EQ(metrics_.nonfinite_rejections.load(), 12u);
   SessionState overflowed = good;
   overflowed.x[0] = std::numeric_limits<float>::infinity();
   EXPECT_TRUE(dest.ImportSession(overflowed, 0.0).ok());
+  EXPECT_EQ(metrics_.nonfinite_rejections.load(), 12u);
 }
 
 TEST_F(ShardTest, ScoringEmptySessionWorks) {
@@ -338,7 +346,10 @@ TEST_F(ShardTest, ForcedRefoldBypassesTheReusedLogit) {
   EXPECT_EQ(forced.logit, first.logit);
 }
 
-TEST_F(ShardTest, SimdModeChangeMissesTheReusedLogit) {
+// Every kernel table computes the same bits, so the reuse key carries no
+// SIMD mode: a logit scored in the starting mode and reused after a switch
+// equals a fresh offline score in the other mode.
+TEST_F(ShardTest, ReusedLogitAfterASimdModeSwitchEqualsAFreshScore) {
   const tensor::SimdMode first_mode = tensor::ActiveSimdMode();
   tensor::SimdMode other = tensor::SimdMode::kScalar;
   if (first_mode == tensor::SimdMode::kScalar) {
@@ -353,16 +364,19 @@ TEST_F(ShardTest, SimdModeChangeMissesTheReusedLogit) {
   SessionShard shard(registry_, ShardOptions{}, &metrics_);
   ASSERT_TRUE(Begin(shard, 1).ok());
   ASSERT_TRUE(shard.AddEdge(1, 0, 1, 1.0, 0.0).ok());
+  ASSERT_TRUE(shard.AddEdge(1, 1, 0, 2.5, 0.0).ok());
   ScoreResult first;
   ASSERT_TRUE(shard.Score(1, &first).ok());
+  const uint64_t refolds = metrics_.state_refolds.load();
 
-  ShiftClassifierBias(registry_.initial_model(), 1.0f);
   tensor::ScopedSimdMode pin(other);
-  ScoreResult recomputed;
-  ASSERT_TRUE(shard.Score(1, &recomputed).ok());
-  // Recomputed under the shifted bias: about one logit unit higher (the
-  // other table's transcendental maps differ by a few ulp at most).
-  EXPECT_NEAR(recomputed.logit, first.logit + 1.0f, 1e-4f);
+  ScoreResult reused;
+  ASSERT_TRUE(shard.Score(1, &reused).ok());
+  EXPECT_EQ(metrics_.state_refolds.load(), refolds);
+  EXPECT_EQ(reused.logit, first.logit);
+  EXPECT_EQ(reused.logit,
+            OfflineLogit(registry_.initial_model(),
+                         BeginGraph({{0, 1, 1.0}, {1, 0, 2.5}})));
 }
 
 }  // namespace

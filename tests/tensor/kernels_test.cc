@@ -1,20 +1,21 @@
 // Parity contracts of the runtime-dispatched kernel layer (tensor/kernels.h):
-//  * Bitwise class — GEMM (all three transpose variants), the linear
-//    elementwise kernels, the time-encoding kernels and the Adam update must be
-//    bit-identical between the scalar table and every supported ISA table,
-//    across edge shapes: n/k/m of 0, 1, odd tails below the vector width,
-//    and multiples straddling the blocked-GEMM tiles.
-//  * ulp class — tanh_inplace / tanh_add / sigmoid_bias / gru_candidate may
-//    use a vector exp polynomial, but must stay within
-//    kTranscendentalUlpBound ULPs of the scalar kernel per element.
-//  * Dispatch — mode parsing, support queries, the ScopedSimdMode pin, and
-//    which table each TrainingKernels() entry comes from.
+//  * Every entry — GEMM (all three transpose variants), the linear
+//    elementwise kernels, the transcendental maps, the time-encoding kernels
+//    and the Adam update — must be bit-identical between the scalar table and
+//    every supported ISA table, across edge shapes: n/k/m of 0, 1, odd tails
+//    below the vector width, and multiples straddling the blocked-GEMM tiles.
+//  * The transcendental maps also across their inputs: a strided sweep of
+//    every float bit pattern (testing/map_sweep.h; the full sweep is the
+//    separate tensor_kernels_full_sweep program), and the special values
+//    kernels.h defines, pinned in every table.
+//  * Dispatch — mode parsing, support queries and the ScopedSimdMode pin.
 
 #include "tensor/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "testing/map_sweep.h"
 #include "util/rng.h"
 
 namespace tpgnn::tensor {
@@ -38,20 +40,6 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed, float lo = -2.5f,
   std::vector<float> v(static_cast<size_t>(n));
   for (float& x : v) x = rng.UniformFloat(lo, hi);
   return v;
-}
-
-int32_t UlpDistance(float a, float b) {
-  if (a == b) return 0;
-  if (std::isnan(a) || std::isnan(b)) return INT32_MAX;
-  int32_t ia, ib;
-  std::memcpy(&ia, &a, sizeof(ia));
-  std::memcpy(&ib, &b, sizeof(ib));
-  // Map the sign-magnitude float encoding onto a monotone integer line.
-  if (ia < 0) ia = INT32_MIN - ia;
-  if (ib < 0) ib = INT32_MIN - ib;
-  const int64_t d = static_cast<int64_t>(ia) - static_cast<int64_t>(ib);
-  const int64_t mag = d < 0 ? -d : d;
-  return mag > INT32_MAX ? INT32_MAX : static_cast<int32_t>(mag);
 }
 
 std::vector<const Kernels*> SupportedIsaTables() {
@@ -86,27 +74,18 @@ void ExpectSameBits(const std::vector<float>& expected,
   }
 }
 
-void ExpectUlpClose(const std::vector<float>& expected,
-                    const std::vector<float>& got, const std::string& what) {
-  ASSERT_EQ(expected.size(), got.size()) << what;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_LE(UlpDistance(expected[i], got[i]), kTranscendentalUlpBound)
-        << what << " element " << i << ": scalar " << expected[i] << " vs "
-        << got[i];
-  }
-}
-
 // --- GEMM bitwise parity across edge shapes --------------------------------
 
 TEST(KernelsGemmTest, AccumulateBitwiseMatchesScalarAcrossEdgeShapes) {
   // Beyond the edge shapes, the AVX2 kernel's register blocking: row pairs
-  // (n = 2, 5 = two pairs and a single row), 32- then 8-column blocks and
-  // scalar leftover columns (m = 31..33, 40, 96), 4-wide k tiles plus
-  // leftover k (k = 4, 6, 38).
+  // (n = 2, 5 = two pairs and a single row), 32- then 8-column blocks and a
+  // masked block of leftover columns (m = 31..33, 38 — the GRU backward's
+  // dX — 40, 96, and with the edge shapes every leftover width 1..7),
+  // 4-wide k tiles plus leftover k (k = 4, 6, 38).
   std::vector<int64_t> ks(std::begin(kEdgeSizes), std::end(kEdgeSizes));
   for (int64_t k : {4, 6, 38}) ks.push_back(k);
   std::vector<int64_t> ms(std::begin(kEdgeSizes), std::end(kEdgeSizes));
-  for (int64_t m : {31, 32, 33, 40, 96}) ms.push_back(m);
+  for (int64_t m : {4, 6, 31, 32, 33, 36, 38, 40, 46, 96}) ms.push_back(m);
   for (const Kernels* isa : SupportedIsaTables()) {
     for (int64_t n : {0, 1, 2, 3, 5}) {
       for (int64_t k : ks) {
@@ -138,12 +117,14 @@ TEST(KernelsGemmTest, ZeroTileSkipIsPerRowAndSpecialValuesMatchScalar) {
   constexpr int64_t k = 9;  // Two tiles and one leftover k.
   for (const Kernels* isa : SupportedIsaTables()) {
     for (int64_t n : {2, 3}) {
-      for (int64_t m : {3, 8, 32, 40}) {
+      for (int64_t m : {3, 8, 32, 38, 40}) {
         auto a = RandomVec(n * k, 111);
         for (int64_t kk = 0; kk < 4; ++kk) a[kk] = 0.0f;          // Row 0.
         for (int64_t kk = 4; kk < 9; ++kk) a[k + kk] = 0.0f;      // Row 1.
         if (n == 3) {
-          for (int64_t kk = 0; kk < 4; ++kk) a[2 * k + kk] = -0.0f;  // Row 2.
+          // Row 2, a single row: its first tile and its leftover k.
+          for (int64_t kk = 0; kk < 4; ++kk) a[2 * k + kk] = -0.0f;
+          a[2 * k + 8] = 0.0f;
         }
         auto b = RandomVec(k * m, 112);
         const float specials[] = {inf, -inf, nan, 0.0f, -0.0f};
@@ -314,8 +295,6 @@ TEST(KernelsTimeEncodingTest, BitwiseMatchesScalarAcrossEdgeShapesAndTimes) {
   }
 }
 
-// --- ulp-class tolerance ----------------------------------------------------
-
 // --- Adam update bitwise parity ---------------------------------------------
 
 // Three steps of nn::Adam's update (the bias corrections of steps 1-3) with
@@ -370,7 +349,9 @@ TEST(KernelsAdamTest, UpdateBitwiseMatchesScalarAcrossLengthsAndGradients) {
   }
 }
 
-TEST(KernelsTranscendentalTest, UlpClassWithinBoundAcrossEdgeShapes) {
+// --- Transcendental maps ------------------------------------------------------
+
+TEST(KernelsTranscendentalTest, MapsBitwiseMatchScalarAcrossEdgeShapes) {
   // Beyond the edge shapes: every masked-tail length alone (1..7), one
   // full vector (8), a vector plus a one-lane tail (9), and the 38-wide
   // readout row (four vectors and a six-lane tail).
@@ -392,19 +373,19 @@ TEST(KernelsTranscendentalTest, UlpClassWithinBoundAcrossEdgeShapes) {
       auto v_isa = v;
       ScalarKernels().tanh_inplace(v_scalar.data(), n);
       isa->tanh_inplace(v_isa.data(), n);
-      ExpectUlpClose(v_scalar, v_isa, tag + " tanh_inplace");
+      ExpectBitwiseEq(v_scalar, v_isa, tag + " tanh_inplace");
 
       v_scalar = v;
       v_isa = v;
       ScalarKernels().tanh_add(v_scalar.data(), src.data(), n);
       isa->tanh_add(v_isa.data(), src.data(), n);
-      ExpectUlpClose(v_scalar, v_isa, tag + " tanh_add");
+      ExpectBitwiseEq(v_scalar, v_isa, tag + " tanh_add");
 
       v_scalar = v;
       v_isa = v;
       ScalarKernels().sigmoid_bias(v_scalar.data(), bias.data(), n);
       isa->sigmoid_bias(v_isa.data(), bias.data(), n);
-      ExpectUlpClose(v_scalar, v_isa, tag + " sigmoid_bias");
+      ExpectBitwiseEq(v_scalar, v_isa, tag + " sigmoid_bias");
 
       std::vector<float> out_scalar(static_cast<size_t>(n));
       std::vector<float> out_isa(static_cast<size_t>(n));
@@ -412,7 +393,74 @@ TEST(KernelsTranscendentalTest, UlpClassWithinBoundAcrossEdgeShapes) {
                                     xn.data(), bias.data(), n);
       isa->gru_candidate(out_isa.data(), r.data(), hu.data(), xn.data(),
                          bias.data(), n);
-      ExpectUlpClose(out_scalar, out_isa, tag + " gru_candidate");
+      ExpectBitwiseEq(out_scalar, out_isa, tag + " gru_candidate");
+    }
+  }
+}
+
+// Every map over every 1021st float bit pattern, NaNs and infinities
+// included, in blocks whose masked tails run (testing/map_sweep.h): each
+// supported ISA table against the scalar table.
+TEST(KernelsTranscendentalTest, StridedSweepBitwiseMatchesScalar) {
+  for (const Kernels* isa : SupportedIsaTables()) {
+    const SweepResult result =
+        SweepMaps(ScalarKernels(), *isa, 0, uint64_t{1} << 32, 1021);
+    EXPECT_GT(result.inputs, 4000000u) << isa->name;
+    EXPECT_EQ(result.mismatches, 0u)
+        << isa->name << ": first mismatch " << result.first_mismatch;
+  }
+}
+
+// The special values kernels.h defines, and the edges of the polynomial's
+// branches and clamps, through all four maps in every table.
+TEST(KernelsTranscendentalTest, SpecialValuesAreDefinedOnceForEveryTable) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float max_denorm = std::numeric_limits<float>::min() - denorm;
+  std::vector<float> inputs = {nan,   -nan,        inf,         -inf,
+                               0.0f,  -0.0f,       denorm,      -denorm,
+                               max_denorm, -max_denorm};
+  // The small/large branch edge, the 9.2 clamp of tanh's |x| and exp's
+  // clamps, each with its float neighbours, both signs.
+  for (float edge : {0.625f, 9.2f, 87.3365478515625f, 88.3762626647950f}) {
+    for (float x : {std::nextafter(edge, 0.0f), edge,
+                    std::nextafter(edge, inf)}) {
+      inputs.push_back(x);
+      inputs.push_back(-x);
+    }
+  }
+  std::vector<const Kernels*> tables = {&ScalarKernels()};
+  for (const Kernels* isa : SupportedIsaTables()) tables.push_back(isa);
+  auto run = [&](const Kernels& t, int map) {
+    std::vector<float> out(inputs.size());
+    RunMap(t, map, inputs.data(), static_cast<int64_t>(inputs.size()),
+           out.data());
+    return out;
+  };
+  for (int map = 0; map < kNumMaps; ++map) {
+    const std::vector<float> expected = run(ScalarKernels(), map);
+    for (const Kernels* t : tables) {
+      const std::string tag = std::string(t->name) + " " + kMapNames[map];
+      const std::vector<float> got = run(*t, map);
+      ExpectSameBits(expected, got, tag);
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        EXPECT_EQ(std::isnan(got[i]), std::isnan(inputs[i]))
+            << tag << " input " << inputs[i];
+      }
+      // The polynomial's own answers (libm's tanh(-0) would be -0).
+      const bool sigmoid = map == 2;
+      const auto bits = [](float f) { return std::bit_cast<uint32_t>(f); };
+      for (size_t i = 2; i < 6; ++i) {
+        const float x = inputs[i];
+        const float want = sigmoid ? (x == inf    ? 1.0f
+                                      : x == -inf ? 0.0f
+                                                  : 0.5f)
+                                   : (x == inf    ? 1.0f
+                                      : x == -inf ? -1.0f
+                                                  : 0.0f);
+        EXPECT_EQ(bits(got[i]), bits(want)) << tag << " input " << x;
+      }
     }
   }
 }
@@ -486,36 +534,6 @@ TEST(KernelsDispatchTest, ScopedSimdModeRestoresThePreviousMode) {
     EXPECT_STREQ(ActiveKernels().name, "scalar");
   }
   EXPECT_EQ(ActiveSimdMode(), before);
-}
-
-TEST(KernelsDispatchTest, TrainingTableTakesTheUlpMapsFromScalar) {
-  for (SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kNeon}) {
-    if (!SimdModeSupported(mode)) continue;
-    ScopedSimdMode pin(mode);
-    const Kernels& training = TrainingKernels();
-    const Kernels& active = ActiveKernels();
-    const Kernels& scalar = ScalarKernels();
-    const char* name = SimdModeName(mode);
-    // The four ulp-class maps: the scalar table's.
-    EXPECT_EQ(training.tanh_inplace, scalar.tanh_inplace) << name;
-    EXPECT_EQ(training.tanh_add, scalar.tanh_add) << name;
-    EXPECT_EQ(training.sigmoid_bias, scalar.sigmoid_bias) << name;
-    EXPECT_EQ(training.gru_candidate, scalar.gru_candidate) << name;
-    // Every bitwise entry: the active ISA's.
-    EXPECT_EQ(training.gemm_accumulate, active.gemm_accumulate) << name;
-    EXPECT_EQ(training.gemm_accumulate_nt, active.gemm_accumulate_nt) << name;
-    EXPECT_EQ(training.gemm_accumulate_tn, active.gemm_accumulate_tn) << name;
-    EXPECT_EQ(training.copy, active.copy) << name;
-    EXPECT_EQ(training.zero, active.zero) << name;
-    EXPECT_EQ(training.add_accumulate, active.add_accumulate) << name;
-    EXPECT_EQ(training.scale_inplace, active.scale_inplace) << name;
-    EXPECT_EQ(training.gru_blend, active.gru_blend) << name;
-    EXPECT_EQ(training.rotate_pairs, active.rotate_pairs) << name;
-    EXPECT_EQ(training.time2vec, active.time2vec) << name;
-    EXPECT_EQ(training.phasor, active.phasor) << name;
-    EXPECT_EQ(training.rotation, active.rotation) << name;
-    EXPECT_EQ(training.adam_update, active.adam_update) << name;
-  }
 }
 
 TEST(KernelsDispatchTest, AutoResolvesToAConcreteSupportedMode) {
