@@ -339,25 +339,21 @@ Tensor SumTrainForward(const tpgnn::nn::Time2Vec& t2v, const Tensor& x,
   return ops::Tanh(ops::Stack(rows));
 }
 
-// The current zero-copy SUM inference sweep: in-place row updates through
-// spans plus Time2Vec::EvalInto; no tensors exist per edge (mirrors
-// TemporalPropagation::ForwardInference).
+// The zero-copy SUM inference sweep: in-place row updates on the active
+// kernel table's tanh_add, as TemporalPropagation::SumEdgeStep runs them,
+// plus Time2Vec::EvalInto, and a final tanh_inplace squash; no tensors exist
+// per edge.
 void SumZeroCopySweep(const tpgnn::nn::Time2Vec& t2v, std::vector<float>& x,
                       std::vector<float>& m, std::vector<float>& ft) {
+  const tpgnn::tensor::Kernels& ker = tpgnn::tensor::ActiveKernels();
   for (int64_t e = 0; e < kNodes; ++e) {
-    const float* src = x.data() + e * kDim;
-    float* dst = x.data() + ((e * 7 + 3) % kNodes) * kDim;
-    for (int64_t i = 0; i < kDim; ++i) {
-      dst[i] = std::tanh(src[i] + dst[i]);
-    }
+    const int64_t v = (e * 7 + 3) % kNodes;
+    ker.tanh_add(x.data() + v * kDim, x.data() + e * kDim, kDim);
     t2v.EvalInto(static_cast<float>(e) * 0.01f, ft.data());
-    float* mrow = m.data() + ((e * 7 + 3) % kNodes) * kTimeDim;
-    for (int64_t i = 0; i < kTimeDim; ++i) {
-      mrow[i] = std::tanh(ft[static_cast<size_t>(i)] + mrow[i]);
-    }
+    ker.tanh_add(m.data() + v * kTimeDim, ft.data(), kTimeDim);
   }
-  for (float& v : x) v = std::tanh(v);
-  for (float& v : m) v = std::tanh(v);
+  ker.tanh_inplace(x.data(), static_cast<int64_t>(x.size()));
+  ker.tanh_inplace(m.data(), static_cast<int64_t>(m.size()));
 }
 
 // --- BENCH_alloc.json ------------------------------------------------------

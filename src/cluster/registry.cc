@@ -2,16 +2,6 @@
 
 namespace tpgnn::cluster {
 
-const char* BackendHealthName(BackendHealth health) {
-  switch (health) {
-    case BackendHealth::kDown:
-      return "DOWN";
-    case BackendHealth::kUp:
-      return "UP";
-  }
-  return "UNKNOWN";
-}
-
 BackendRegistry::BackendRegistry(const RegistryOptions& options)
     : options_(options) {}
 
@@ -22,12 +12,6 @@ void BackendRegistry::Add(const BackendConfig& config) {
 }
 
 BackendRegistry::Entry* BackendRegistry::Find(const std::string& name) {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-const BackendRegistry::Entry* BackendRegistry::Find(
-    const std::string& name) const {
   auto it = entries_.find(name);
   return it == entries_.end() ? nullptr : &it->second;
 }

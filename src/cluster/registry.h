@@ -31,8 +31,6 @@ enum class BackendHealth : uint8_t {
   kUp = 1,    // Connected and probing clean.
 };
 
-const char* BackendHealthName(BackendHealth health);
-
 struct BackendConfig {
   std::string name;  // Ring identity; must be unique and stable.
   std::string host = "127.0.0.1";
@@ -73,7 +71,6 @@ class BackendRegistry {
   void Add(const BackendConfig& config);
 
   Entry* Find(const std::string& name);
-  const Entry* Find(const std::string& name) const;
   // Names in deterministic (sorted) order.
   std::vector<std::string> names() const;
   size_t size() const { return entries_.size(); }

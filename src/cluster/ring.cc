@@ -1,15 +1,10 @@
 #include "cluster/ring.h"
 
+#include "util/rng.h"
+
 namespace tpgnn::cluster {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t h) {
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
 
 uint64_t Fnv1a64(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ULL;

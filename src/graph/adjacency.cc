@@ -74,19 +74,6 @@ Tensor RowNormalize(const Tensor& adjacency) {
   return out;
 }
 
-Tensor Laplacian(const Tensor& adjacency) {
-  const int64_t n = adjacency.size(0);
-  std::vector<float> deg = Degrees(adjacency);
-  Tensor out = Tensor::Zeros({n, n});
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      out.MutableAt({i, j}) = -adjacency.at({i, j});
-    }
-    out.MutableAt({i, i}) = deg[static_cast<size_t>(i)] - adjacency.at({i, i});
-  }
-  return out;
-}
-
 Tensor NormalizedLaplacian(const Tensor& adjacency) {
   const int64_t n = adjacency.size(0);
   Tensor norm = SymmetricNormalize(adjacency);

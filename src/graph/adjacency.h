@@ -29,9 +29,6 @@ tensor::Tensor SymmetricNormalize(const tensor::Tensor& adjacency);
 // Row-stochastic D^{-1} A (mean aggregation, GraphSage-style).
 tensor::Tensor RowNormalize(const tensor::Tensor& adjacency);
 
-// Unnormalized graph Laplacian L = D - A of a symmetric adjacency.
-tensor::Tensor Laplacian(const tensor::Tensor& adjacency);
-
 // Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 tensor::Tensor NormalizedLaplacian(const tensor::Tensor& adjacency);
 

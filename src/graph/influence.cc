@@ -4,29 +4,14 @@
 
 namespace tpgnn::graph {
 
-InfluenceClosure::InfluenceClosure(
-    int64_t num_nodes, const std::vector<TemporalEdge>& chronological_edges)
-    : num_nodes_(num_nodes) {
-  for (size_t i = 1; i < chronological_edges.size(); ++i) {
-    TPGNN_CHECK_LE(chronological_edges[i - 1].time,
-                   chronological_edges[i].time)
-        << "edges must be sorted by non-decreasing time";
-  }
-  Build(chronological_edges);
-}
-
 InfluenceClosure::InfluenceClosure(const TemporalGraph& graph)
     : num_nodes_(graph.num_nodes()) {
-  Build(graph.ChronologicalEdges());
-}
-
-void InfluenceClosure::Build(const std::vector<TemporalEdge>& edges) {
   reach_.assign(static_cast<size_t>(num_nodes_),
                 std::vector<bool>(static_cast<size_t>(num_nodes_), false));
   // Processing edges in chronological order, the ancestor set of the target
   // absorbs the source and the source's ancestors: exactly the information
   // flow realized by temporal propagation.
-  for (const TemporalEdge& e : edges) {
+  for (const TemporalEdge& e : graph.ChronologicalEdges()) {
     auto& dst = reach_[static_cast<size_t>(e.dst)];
     const auto& src = reach_[static_cast<size_t>(e.src)];
     dst[static_cast<size_t>(e.src)] = true;

@@ -16,13 +16,9 @@ namespace tpgnn::graph {
 
 class InfluenceClosure {
  public:
-  // Computes the closure using the given edge order (must be sorted by
-  // non-decreasing time; ties resolved by list position, matching the order
-  // the propagation algorithm would consume).
-  InfluenceClosure(int64_t num_nodes,
-                   const std::vector<TemporalEdge>& chronological_edges);
-
-  // Convenience: uses graph.ChronologicalEdges().
+  // Computes the closure over graph.ChronologicalEdges(): ties in time
+  // resolve by insertion order, the order the propagation algorithm
+  // consumes.
   explicit InfluenceClosure(const TemporalGraph& graph);
 
   // True iff u is influential to v (u != v; a node is not considered its own
@@ -35,8 +31,6 @@ class InfluenceClosure {
   int64_t num_nodes() const { return num_nodes_; }
 
  private:
-  void Build(const std::vector<TemporalEdge>& edges);
-
   int64_t num_nodes_;
   // reach_[v][u] == true iff u is influential to v.
   std::vector<std::vector<bool>> reach_;

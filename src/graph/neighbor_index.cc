@@ -43,15 +43,4 @@ std::vector<TemporalNeighbor> TemporalNeighborIndex::Recent(int64_t node,
   return out;
 }
 
-std::vector<TemporalNeighbor> TemporalNeighborIndex::AllBefore(
-    int64_t node, double t) const {
-  TPGNN_CHECK_GE(node, 0);
-  TPGNN_CHECK_LT(node, static_cast<int64_t>(by_node_.size()));
-  const auto& list = by_node_[static_cast<size_t>(node)];
-  auto end = std::lower_bound(
-      list.begin(), list.end(), t,
-      [](const TemporalNeighbor& a, double value) { return a.time < value; });
-  return std::vector<TemporalNeighbor>(list.begin(), end);
-}
-
 }  // namespace tpgnn::graph

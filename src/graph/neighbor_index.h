@@ -29,9 +29,6 @@ class TemporalNeighborIndex {
   std::vector<TemporalNeighbor> Recent(int64_t node, double t,
                                        int64_t k) const;
 
-  // All neighbors of `node` before time t, chronological order.
-  std::vector<TemporalNeighbor> AllBefore(int64_t node, double t) const;
-
  private:
   // Per node, interactions sorted ascending by time.
   std::vector<std::vector<TemporalNeighbor>> by_node_;

@@ -6,15 +6,9 @@
 
 #include "nn/checkpoint.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace tpgnn::model {
-
-uint64_t SplitMix64(uint64_t value) {
-  value += 0x9e3779b97f4a7c15ULL;
-  value = (value ^ (value >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  value = (value ^ (value >> 27)) * 0x94d049bb133111ebULL;
-  return value ^ (value >> 31);
-}
 
 bool AbPicksCandidate(uint64_t session_id, uint64_t salt, double fraction) {
   if (!(fraction > 0.0)) {
@@ -220,16 +214,6 @@ ModelVersionPtr ModelRegistry::ResolveForSession(uint64_t session_id,
   return primary_;
 }
 
-ModelVersionPtr ModelRegistry::primary() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return primary_;
-}
-
-ModelVersionPtr ModelRegistry::candidate() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return candidate_;
-}
-
 ModelVersionPtr ModelRegistry::shadow() const {
   std::lock_guard<std::mutex> lock(mu_);
   return shadow_;
@@ -246,11 +230,6 @@ ModelVersionPtr ModelRegistry::Find(const std::string& name) const {
 ModelVersionPtr ModelRegistry::FindLocked(const std::string& name) const {
   auto it = versions_.find(name);
   return it == versions_.end() ? nullptr : it->second;
-}
-
-double ModelRegistry::ab_fraction() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ab_fraction_;
 }
 
 std::vector<ModelVersionInfo> ModelRegistry::Versions() const {

@@ -143,8 +143,6 @@ class ModelRegistry {
   ModelVersionPtr ResolveForSession(uint64_t session_id,
                                     uint64_t* epoch = nullptr) const;
 
-  ModelVersionPtr primary() const;
-  ModelVersionPtr candidate() const;
   ModelVersionPtr shadow() const;
   // Lookup by name; by the empty string resolves to the primary (the
   // version-1 session-state snapshots carry no version tag). Null when the
@@ -164,7 +162,6 @@ class ModelRegistry {
   // accessor (trainer flows copy parameters in before serving starts).
   core::TpGnnModel& initial_model() { return initial_->mutable_model(); }
 
-  double ab_fraction() const;
   uint64_t ab_salt() const { return ab_salt_; }
   void set_ab_salt(uint64_t salt) { ab_salt_ = salt; }
 
@@ -193,8 +190,7 @@ class ModelRegistry {
 
 // The deterministic A/B hash, exposed so tests and remote tooling can
 // predict assignments: a session routes to the candidate iff
-// SplitMix64(session_id ^ salt) < fraction * 2^64.
-uint64_t SplitMix64(uint64_t value);
+// SplitMix64(session_id ^ salt) < fraction * 2^64 (util/rng.h).
 bool AbPicksCandidate(uint64_t session_id, uint64_t salt, double fraction);
 
 }  // namespace tpgnn::model

@@ -1,61 +1,18 @@
 #include "net/protocol.h"
 
-#include <cstring>
+#include "util/byte_codec.h"
 
 namespace tpgnn::net {
 
 namespace {
 
-// Decoder-side plausibility caps. Anything above these in a length or count
-// field is treated as corruption: the caps are far beyond what the serving
-// path produces, and refusing early keeps a flipped bit in a count field
-// from turning into a giant allocation.
-constexpr uint64_t kMaxNodesPerSession = 1ull << 31;
-constexpr uint64_t kMaxFeatureDim = 1ull << 24;
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kDataLoss);
 constexpr uint8_t kMinFrameType = static_cast<uint8_t>(FrameType::kPing);
 constexpr uint8_t kMaxFrameType = static_cast<uint8_t>(FrameType::kModelInfo);
 
-void AppendRaw(const void* data, size_t size, std::vector<uint8_t>* out) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  out->insert(out->end(), bytes, bytes + size);
-}
-
 void AppendU16(uint16_t value, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(value & 0xff));
   out->push_back(static_cast<uint8_t>(value >> 8));
-}
-
-void AppendU32(uint32_t value, std::vector<uint8_t>* out) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<uint8_t>((value >> shift) & 0xff));
-  }
-}
-
-void AppendF32(float value, std::vector<uint8_t>* out) {
-  uint32_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU32(bits, out);
-}
-
-void AppendF64(double value, std::vector<uint8_t>* out) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>((bits >> shift) & 0xff));
-  }
-}
-
-void AppendString(const std::string& value, std::vector<uint8_t>* out) {
-  AppendVarint(value.size(), out);
-  AppendRaw(value.data(), value.size(), out);
-}
-
-void AppendBytes(const std::vector<uint8_t>& value, std::vector<uint8_t>* out) {
-  AppendVarint(value.size(), out);
-  AppendRaw(value.data(), value.size(), out);
 }
 
 void AppendEvent(const serve::Event& event, std::vector<uint8_t>* out) {
@@ -100,110 +57,7 @@ void AppendScoreResult(const serve::ScoreResult& result,
   AppendF64(result.score_micros, out);
 }
 
-// Bounds-checked sequential reader over one frame payload. Every Read*
-// validates the remaining byte count before touching memory; the first
-// failure latches and all later reads fail too, so decode code can chain
-// reads and check once.
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  bool failed() const { return failed_; }
-
-  bool ReadU8(uint8_t* value) {
-    if (!Require(1)) return false;
-    *value = data_[pos_++];
-    return true;
-  }
-
-  bool ReadF32(float* value) {
-    if (!Require(4)) return false;
-    uint32_t bits = 0;
-    for (int i = 0; i < 4; ++i) {
-      bits |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-              << (8 * i);
-    }
-    pos_ += 4;
-    std::memcpy(value, &bits, sizeof(*value));
-    return true;
-  }
-
-  bool ReadF64(double* value) {
-    if (!Require(8)) return false;
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-              << (8 * i);
-    }
-    pos_ += 8;
-    std::memcpy(value, &bits, sizeof(*value));
-    return true;
-  }
-
-  bool ReadVarint(uint64_t* value) {
-    uint64_t result = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (!Require(1)) return false;
-      const uint8_t byte = data_[pos_++];
-      result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        // The tenth byte may only contribute the single remaining bit.
-        if (shift == 63 && byte > 1) {
-          return Fail();
-        }
-        *value = result;
-        return true;
-      }
-    }
-    return Fail();  // More than 10 continuation bytes.
-  }
-
-  bool ReadZigzag(int64_t* value) {
-    uint64_t raw;
-    if (!ReadVarint(&raw)) return false;
-    *value = static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
-    return true;
-  }
-
-  bool ReadString(std::string* value) {
-    uint64_t length;
-    if (!ReadVarint(&length)) return false;
-    if (length > remaining()) return Fail();
-    value->assign(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<size_t>(length));
-    pos_ += static_cast<size_t>(length);
-    return true;
-  }
-
-  bool ReadBytes(std::vector<uint8_t>* value) {
-    uint64_t length;
-    if (!ReadVarint(&length)) return false;
-    if (length > remaining()) return Fail();
-    value->assign(data_ + pos_, data_ + pos_ + static_cast<size_t>(length));
-    pos_ += static_cast<size_t>(length);
-    return true;
-  }
-
- private:
-  bool Require(size_t bytes) {
-    if (failed_ || remaining() < bytes) {
-      return Fail();
-    }
-    return true;
-  }
-  bool Fail() {
-    failed_ = true;
-    return false;
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
-
-bool ReadEvent(Reader& reader, serve::Event* event) {
+bool ReadEvent(ByteReader& reader, serve::Event* event) {
   uint8_t kind;
   if (!reader.ReadU8(&kind)) return false;
   if (kind > static_cast<uint8_t>(serve::Event::Kind::kEnd)) return false;
@@ -257,7 +111,7 @@ bool ReadEvent(Reader& reader, serve::Event* event) {
   return true;
 }
 
-bool ReadScoreResult(Reader& reader, serve::ScoreResult* result) {
+bool ReadScoreResult(ByteReader& reader, serve::ScoreResult* result) {
   if (!reader.ReadVarint(&result->session_id)) return false;
   uint8_t code;
   if (!reader.ReadU8(&code) || code > kMaxStatusCode) return false;
@@ -325,20 +179,6 @@ const char* FrameTypeName(FrameType type) {
       return "MODEL_INFO";
   }
   return "UNKNOWN";
-}
-
-void AppendVarint(uint64_t value, std::vector<uint8_t>* out) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(value));
-}
-
-void AppendZigzag(int64_t value, std::vector<uint8_t>* out) {
-  AppendVarint((static_cast<uint64_t>(value) << 1) ^
-                   static_cast<uint64_t>(value >> 63),
-               out);
 }
 
 void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out) {
@@ -477,7 +317,7 @@ Status DecodeFrame(const uint8_t* data, size_t size,
 
   *frame = Frame();
   frame->type = static_cast<FrameType>(raw_type);
-  Reader reader(data + kFrameHeaderBytes, payload_len);
+  ByteReader reader(data + kFrameHeaderBytes, payload_len);
   bool ok = true;
   switch (frame->type) {
     case FrameType::kPing:

@@ -137,10 +137,6 @@ void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out);
 Status DecodeFrame(const uint8_t* data, size_t size, uint32_t max_payload_bytes,
                    Frame* frame, size_t* consumed);
 
-// Low-level encoding helpers, exposed for tests and the benchmarks.
-void AppendVarint(uint64_t value, std::vector<uint8_t>* out);
-void AppendZigzag(int64_t value, std::vector<uint8_t>* out);
-
 }  // namespace tpgnn::net
 
 #endif  // TPGNN_NET_PROTOCOL_H_

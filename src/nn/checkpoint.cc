@@ -159,10 +159,6 @@ Status ReadSnapshotBytes(const std::string& path, std::string* bytes) {
 
 }  // namespace
 
-Status SaveParameters(const Module& module, const std::string& path) {
-  return SaveParameters(module, path, CheckpointMetadata{});
-}
-
 Status SaveParameters(const Module& module, const std::string& path,
                       const CheckpointMetadata& metadata) {
   for (const auto& [key, value] : metadata) {

@@ -39,14 +39,12 @@ namespace tpgnn::nn {
 
 using CheckpointMetadata = std::map<std::string, std::string>;
 
-// Saves with an empty metadata block (`meta 0`). Always writes version 3
-// so every new checkpoint carries the integrity trailer.
-Status SaveParameters(const Module& module, const std::string& path);
-
-// Saves parameters plus the given metadata block. Keys must be non-empty
-// single tokens (no whitespace); values may contain spaces but no newlines.
+// Saves parameters plus the given metadata block (`meta 0` when empty).
+// Keys must be non-empty single tokens (no whitespace); values may contain
+// spaces but no newlines. Always writes version 3 so every new checkpoint
+// carries the integrity trailer.
 Status SaveParameters(const Module& module, const std::string& path,
-                      const CheckpointMetadata& metadata);
+                      const CheckpointMetadata& metadata = {});
 
 // Loads values into `module`'s existing parameters; fails if any stored
 // name is missing or has a different element count (and vice versa).

@@ -39,12 +39,6 @@ int64_t Module::ParameterCount() const {
   return count;
 }
 
-void Module::ZeroGrad() {
-  for (tensor::Tensor& p : Parameters()) {
-    p.ZeroGrad();
-  }
-}
-
 tensor::Tensor Module::RegisterParameter(std::string name,
                                          tensor::Tensor value) {
   TPGNN_CHECK(value.impl()->grad_fn == nullptr)

@@ -31,9 +31,6 @@ class Module {
   // Total number of scalar parameters.
   int64_t ParameterCount() const;
 
-  // Sets every parameter gradient buffer to zero.
-  void ZeroGrad();
-
  protected:
   // Registers a trainable parameter; `value` must be a leaf tensor. The
   // registered tensor has requires_grad forced on. Returns the stored handle.

@@ -4,7 +4,6 @@
 // Umbrella header for the neural-network module library.
 
 #include "nn/attention.h"     // IWYU pragma: export
-#include "nn/embedding.h"     // IWYU pragma: export
 #include "nn/gru_cell.h"      // IWYU pragma: export
 #include "nn/init.h"          // IWYU pragma: export
 #include "nn/linear.h"        // IWYU pragma: export

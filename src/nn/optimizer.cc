@@ -20,19 +20,6 @@ void Optimizer::ZeroGrad() {
   }
 }
 
-Sgd::Sgd(std::vector<tensor::Tensor> params, float lr)
-    : Optimizer(std::move(params)), lr_(lr) {}
-
-void Sgd::Step() {
-  for (tensor::Tensor& p : params_) {
-    const std::vector<float>& g = p.grad();
-    std::vector<float>& data = p.MutableData();
-    for (size_t i = 0; i < data.size(); ++i) {
-      data[i] -= lr_ * g[i];
-    }
-  }
-}
-
 Adam::Adam(std::vector<tensor::Tensor> params, float lr, float beta1,
            float beta2, float eps)
     : Optimizer(std::move(params)),

@@ -29,17 +29,6 @@ class Optimizer {
   std::vector<tensor::Tensor> params_;
 };
 
-// Plain stochastic gradient descent.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<tensor::Tensor> params, float lr);
-
-  void Step() override;
-
- private:
-  float lr_;
-};
-
 // Adam (Kingma & Ba 2015) with bias correction; the paper trains TP-GNN
 // with Adam at lr = 1e-3 (Sec. V-D).
 class Adam : public Optimizer {

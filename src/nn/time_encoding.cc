@@ -13,7 +13,6 @@ using tensor::Concat;
 using tensor::Cos;
 using tensor::Scale;
 using tensor::Sin;
-using tensor::Stack;
 using tensor::Tensor;
 
 Time2Vec::Time2Vec(int64_t dim, Rng& rng) : dim_(dim) {
@@ -30,16 +29,6 @@ Tensor Time2Vec::Forward(float t) const {
   Tensor linear = tensor::Add(Scale(w0_, t), phi0_);
   Tensor periodic = Sin(tensor::Add(Scale(w_, t), phi_));
   return Concat({linear, periodic}, /*axis=*/0);
-}
-
-Tensor Time2Vec::Forward(const std::vector<float>& ts) const {
-  TPGNN_CHECK(!ts.empty());
-  std::vector<Tensor> rows;
-  rows.reserve(ts.size());
-  for (float t : ts) {
-    rows.push_back(Forward(t));
-  }
-  return Stack(rows);
 }
 
 // The raw fast path runs the dispatched time2vec kernel (tensor/kernels.h),

@@ -1,7 +1,6 @@
 #ifndef TPGNN_NN_TIME_ENCODING_H_
 #define TPGNN_NN_TIME_ENCODING_H_
 
-#include <vector>
 
 #include "nn/module.h"
 #include "tensor/tensor.h"
@@ -19,9 +18,6 @@ class Time2Vec : public Module {
 
   // Encodes a single timestamp -> [dim].
   tensor::Tensor Forward(float t) const;
-
-  // Encodes a batch of timestamps -> [ts.size(), dim].
-  tensor::Tensor Forward(const std::vector<float>& ts) const;
 
   // Raw encoding into out[0..dim) for the zero-copy inference path; computes
   // the same expressions as Forward(float) elementwise, so the values are

@@ -87,8 +87,4 @@ EventReplayer::EventReplayer(const graph::GraphDataset& dataset,
                    });
 }
 
-double EventReplayer::duration() const {
-  return events_.empty() ? 0.0 : events_.back().time;
-}
-
 }  // namespace tpgnn::serve

@@ -44,8 +44,6 @@ class EventReplayer {
 
   size_t num_sessions() const { return num_sessions_; }
   size_t num_score_requests() const { return num_score_requests_; }
-  // Stream time of the last event (seconds).
-  double duration() const;
 
  private:
   std::vector<Event> events_;

@@ -6,6 +6,7 @@
 #include "core/temporal_propagation.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace tpgnn::serve {
@@ -799,7 +800,7 @@ SessionRouter::SessionRouter(const model::ModelRegistry& registry,
 }
 
 SessionShard& SessionRouter::ShardFor(uint64_t session_id) {
-  return *shards_[model::SplitMix64(session_id) % shards_.size()];
+  return *shards_[SplitMix64(session_id) % shards_.size()];
 }
 
 size_t SessionRouter::resident_sessions() const {

@@ -1,51 +1,13 @@
 #include "serve/session_state.h"
 
 #include <cmath>
-#include <cstring>
 #include <string>
+
+#include "util/byte_codec.h"
 
 namespace tpgnn::serve {
 
 namespace {
-
-// Plausibility caps matching the wire decoder's: a flipped bit in a count
-// field must fail the parse, not drive a giant allocation.
-constexpr uint64_t kMaxNodes = 1ull << 31;
-constexpr uint64_t kMaxFeatureDim = 1ull << 24;
-
-void AppendVarint(uint64_t value, std::vector<uint8_t>* out) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(value));
-}
-
-void AppendZigzag(int64_t value, std::vector<uint8_t>* out) {
-  AppendVarint((static_cast<uint64_t>(value) << 1) ^
-                   static_cast<uint64_t>(value >> 63),
-               out);
-}
-
-void AppendU32(uint32_t value, std::vector<uint8_t>* out) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<uint8_t>((value >> shift) & 0xff));
-  }
-}
-
-void AppendF32(float value, std::vector<uint8_t>* out) {
-  uint32_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU32(bits, out);
-}
-
-void AppendF64(double value, std::vector<uint8_t>* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>((bits >> shift) & 0xff));
-  }
-}
 
 void AppendFloats(const std::vector<float>& values,
                   std::vector<uint8_t>* out) {
@@ -55,118 +17,18 @@ void AppendFloats(const std::vector<float>& values,
   }
 }
 
-// Bounds-checked sequential reader, the session-state twin of the wire
-// decoder's: the first failure latches and all later reads fail too.
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  bool failed() const { return failed_; }
-  bool Fail() {
-    failed_ = true;
-    return false;
+// Reads a varint-prefixed float array; the count must be covered by the
+// bytes actually present (4 per float).
+bool ReadFloats(ByteReader& reader, std::vector<float>* values) {
+  uint64_t count;
+  if (!reader.ReadVarint(&count)) return false;
+  if (count > reader.remaining() / 4) return reader.Fail();
+  values->resize(static_cast<size_t>(count));
+  for (float& f : *values) {
+    if (!reader.ReadF32(&f)) return false;
   }
-
-  bool ReadU8(uint8_t* value) {
-    if (!Require(1)) return false;
-    *value = data_[pos_++];
-    return true;
-  }
-
-  bool ReadU32(uint32_t* value) {
-    if (!Require(4)) return false;
-    uint32_t bits = 0;
-    for (int i = 0; i < 4; ++i) {
-      bits |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-              << (8 * i);
-    }
-    pos_ += 4;
-    *value = bits;
-    return true;
-  }
-
-  bool ReadF32(float* value) {
-    uint32_t bits;
-    if (!ReadU32(&bits)) return false;
-    std::memcpy(value, &bits, sizeof(*value));
-    return true;
-  }
-
-  bool ReadF64(double* value) {
-    if (!Require(8)) return false;
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-              << (8 * i);
-    }
-    pos_ += 8;
-    std::memcpy(value, &bits, sizeof(*value));
-    return true;
-  }
-
-  bool ReadVarint(uint64_t* value) {
-    uint64_t result = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (!Require(1)) return false;
-      const uint8_t byte = data_[pos_++];
-      result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        if (shift == 63 && byte > 1) {
-          return Fail();
-        }
-        *value = result;
-        return true;
-      }
-    }
-    return Fail();
-  }
-
-  bool ReadZigzag(int64_t* value) {
-    uint64_t raw;
-    if (!ReadVarint(&raw)) return false;
-    *value = static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
-    return true;
-  }
-
-  // Reads a varint-prefixed byte string, capped so a corrupt length cannot
-  // drive a giant allocation (and a tag is a short handle anyway).
-  bool ReadShortString(std::string* value, size_t max_length) {
-    uint64_t length;
-    if (!ReadVarint(&length)) return false;
-    if (length > max_length || length > remaining()) return Fail();
-    value->assign(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<size_t>(length));
-    pos_ += static_cast<size_t>(length);
-    return true;
-  }
-
-  // Reads a varint-prefixed float array; the count must be covered by the
-  // bytes actually present (4 per float).
-  bool ReadFloats(std::vector<float>* values) {
-    uint64_t count;
-    if (!ReadVarint(&count)) return false;
-    if (count > remaining() / 4) return Fail();
-    values->resize(static_cast<size_t>(count));
-    for (float& f : *values) {
-      if (!ReadF32(&f)) return false;
-    }
-    return true;
-  }
-
- private:
-  bool Require(size_t bytes) {
-    if (failed_ || remaining() < bytes) {
-      return Fail();
-    }
-    return true;
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
+  return true;
+}
 
 Status Corrupt(const std::string& detail) {
   return Status::DataLoss("corrupt session state: " + detail);
@@ -206,15 +68,13 @@ void SerializeSessionState(const SessionState& state,
   AppendVarint(static_cast<uint64_t>(state.finalized_edges), out);
   AppendF64(state.finalized_max, out);
   AppendF64(state.last_touch, out);
-  AppendVarint(state.model_version.size(), out);
-  out->insert(out->end(), state.model_version.begin(),
-              state.model_version.end());
+  AppendString(state.model_version, out);
 }
 
 Status ParseSessionState(const uint8_t* data, size_t size,
                          SessionState* state) {
   *state = SessionState();
-  Reader reader(data, size);
+  ByteReader reader(data, size);
   uint32_t magic = 0;
   uint8_t version = 0;
   if (!reader.ReadU32(&magic) || magic != kSessionStateMagic) {
@@ -227,7 +87,7 @@ Status ParseSessionState(const uint8_t* data, size_t size,
   uint64_t num_nodes = 0, feature_dim = 0;
   if (!reader.ReadVarint(&state->session_id) ||
       !reader.ReadVarint(&num_nodes) || num_nodes == 0 ||
-      num_nodes > kMaxNodes || !reader.ReadVarint(&feature_dim) ||
+      num_nodes > kMaxNodesPerSession || !reader.ReadVarint(&feature_dim) ||
       feature_dim > kMaxFeatureDim) {
     return Corrupt("bad header");
   }
@@ -262,7 +122,7 @@ Status ParseSessionState(const uint8_t* data, size_t size,
   uint64_t x_edges = 0;
   if (!reader.ReadU8(&flags) || (flags & ~7u) != 0 ||
       !reader.ReadVarint(&x_edges) || !reader.ReadF64(&state->x_max_time) ||
-      !reader.ReadFloats(&state->x0) || !reader.ReadFloats(&state->x)) {
+      !ReadFloats(reader, &state->x0) || !ReadFloats(reader, &state->x)) {
     return Corrupt("truncated fold state");
   }
   state->sorted = (flags & 1u) != 0;
@@ -271,7 +131,7 @@ Status ParseSessionState(const uint8_t* data, size_t size,
   if ((flags & 4u) != 0) {
     uint64_t m_edges = 0;
     if (!reader.ReadVarint(&m_edges) || !reader.ReadF64(&state->m_max_time) ||
-        !reader.ReadFloats(&state->m)) {
+        !ReadFloats(reader, &state->m)) {
       return Corrupt("truncated accumulator state");
     }
     state->m_edges = static_cast<int64_t>(m_edges);
@@ -284,7 +144,8 @@ Status ParseSessionState(const uint8_t* data, size_t size,
   }
   state->finalized_edges = static_cast<int64_t>(finalized_edges);
   if (version >= 2 &&
-      !reader.ReadShortString(&state->model_version, kMaxModelVersionName)) {
+      (!reader.ReadString(&state->model_version) ||
+       state->model_version.size() > kMaxModelVersionName)) {
     return Corrupt("truncated model version tag");
   }
   if (reader.remaining() != 0) {

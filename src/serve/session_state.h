@@ -20,9 +20,10 @@
 // max-time independent, which keeps the payload free of any
 // renormalization coupling to the destination's clock.
 //
-// The binary encoding mirrors the wire protocol's conventions (LEB128
-// varints, zigzag for signed, raw little-endian IEEE-754 bits) but is a
-// separate, versioned format: the wire layer treats it as an opaque blob.
+// The binary encoding uses the wire protocol's byte codec
+// (util/byte_codec.h: LEB128 varints, zigzag for signed, raw little-endian
+// IEEE-754 bits, the same plausibility caps) but is a separate, versioned
+// format: the wire layer treats it as an opaque blob.
 
 namespace tpgnn::serve {
 

@@ -24,10 +24,6 @@ void ReleaseArenaBytes(uint64_t bytes) {
   g_arena_bytes_live.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
-uint64_t ArenaBytesLive() {
-  return g_arena_bytes_live.load(std::memory_order_relaxed);
-}
-
 uint64_t ArenaBytesPeak() {
   return g_arena_bytes_peak.load(std::memory_order_relaxed);
 }

@@ -4,8 +4,8 @@
 #include <cstdint>
 
 // Process-wide byte accounting for the per-fold scratch buffers
-// (core::PropagationScratch): the summed bytes of every live scratch and its
-// high-water mark, in relaxed atomics. The serving metric
+// (core::PropagationScratch): the high-water mark of the summed bytes of
+// every live scratch, in relaxed atomics. The serving metric
 // `arena_bytes_peak`, the soak harness's memory bound and the repo
 // benchmark's `tensor.arena_kb_peak` read the peak (DESIGN.md §4.9).
 //
@@ -20,7 +20,6 @@ namespace tpgnn::tensor::plan {
 void AddArenaBytes(uint64_t bytes);
 void ReleaseArenaBytes(uint64_t bytes);
 
-uint64_t ArenaBytesLive();
 uint64_t ArenaBytesPeak();
 
 }  // namespace tpgnn::tensor::plan

@@ -190,7 +190,7 @@ Tensor UnaryEw(const char* name, const Tensor& a, Fwd fwd, Dfdx dfdx) {
 }
 
 // Unary elementwise operators whose derivative is a function of the output
-// alone (Sigmoid, Tanh, Exp, Sqrt): the backward closure reads the saved
+// alone (Sigmoid, Tanh): the backward closure reads the saved
 // forward activations from the output impl instead of recomputing the
 // transcendental per element. `fwd(in, out, n)` fills the zero-filled output.
 template <typename Fwd, typename Dfdy>
@@ -210,14 +210,6 @@ Tensor UnaryEwFromOutput(const char* name, const Tensor& a, Fwd fwd,
           }
         };
       });
-}
-
-// A UnaryEwFromOutput forward applying `f` to each element.
-template <typename F>
-auto PerElement(F f) {
-  return [f](const float* in, float* out, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = f(in[i]);
-  };
 }
 
 }  // namespace
@@ -256,13 +248,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       [](float, float y) { return y; }, [](float x, float) { return x; });
 }
 
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryEw(
-      "Div", a, b, [](float x, float y) { return x / y; },
-      [](float, float y) { return 1.0f / y; },
-      [](float x, float y) { return -x / (y * y); });
-}
-
 Tensor Scale(const Tensor& a, float s) {
   return UnaryEw(
       "Scale", a, [s](float x) { return x * s; }, [s](float) { return s; });
@@ -277,24 +262,6 @@ Tensor AddScalar(const Tensor& a, float s) {
 Tensor Neg(const Tensor& a) {
   return UnaryEw(
       "Neg", a, [](float x) { return -x; }, [](float) { return -1.0f; });
-}
-
-Tensor Exp(const Tensor& a) {
-  return UnaryEwFromOutput(
-      "Exp", a, PerElement([](float x) { return std::exp(x); }),
-      [](float y) { return y; });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryEw(
-      "Log", a, [](float x) { return std::log(x); },
-      [](float x) { return 1.0f / x; });
-}
-
-Tensor Sqrt(const Tensor& a) {
-  return UnaryEwFromOutput(
-      "Sqrt", a, PerElement([](float x) { return std::sqrt(x); }),
-      [](float y) { return 0.5f / y; });
 }
 
 Tensor Sin(const Tensor& a) {
@@ -810,12 +777,6 @@ Tensor Sum(const Tensor& a) {
   });
 }
 
-Tensor Mean(const Tensor& a) {
-  TPGNN_CHECK_GT(a.numel(), 0);
-  const float inv = 1.0f / static_cast<float>(a.numel());
-  return Scale(Sum(a), inv);
-}
-
 Tensor SumAxis(const Tensor& a, int64_t axis) {
   TPGNN_CHECK_EQ(a.dim(), 2);
   TPGNN_CHECK(axis == 0 || axis == 1);
@@ -941,16 +902,6 @@ Tensor BinaryCrossEntropyWithLogits(const Tensor& logits,
       }
     };
   });
-}
-
-bool AllClose(const Tensor& a, const Tensor& b, float atol, float rtol) {
-  if (a.shape() != b.shape()) return false;
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    const float av = a.data()[static_cast<size_t>(i)];
-    const float bv = b.data()[static_cast<size_t>(i)];
-    if (std::abs(av - bv) > atol + rtol * std::abs(bv)) return false;
-  }
-  return true;
 }
 
 }  // namespace tpgnn::tensor

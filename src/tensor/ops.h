@@ -27,7 +27,6 @@ Shape BroadcastShape(const Shape& a, const Shape& b);
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 
 // --- Scalar forms -----------------------------------------------------------
 Tensor Scale(const Tensor& a, float s);
@@ -35,9 +34,6 @@ Tensor AddScalar(const Tensor& a, float s);
 
 // --- Elementwise unary -------------------------------------------------------
 Tensor Neg(const Tensor& a);
-Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Sin(const Tensor& a);
 Tensor Cos(const Tensor& a);
 Tensor Tanh(const Tensor& a);
@@ -84,9 +80,8 @@ Tensor MulAdd(const Tensor& a, const Tensor& b, const Tensor& c);
 Tensor GruBlend(const Tensor& z, const Tensor& h, const Tensor& n);
 
 // --- Reductions -----------------------------------------------------------------
-// Sum/mean over all elements -> scalar [1].
+// Sum over all elements -> scalar [1].
 Tensor Sum(const Tensor& a);
-Tensor Mean(const Tensor& a);
 // Sum/mean of a 2-D tensor along `axis` (0 -> [cols], 1 -> [rows]).
 Tensor SumAxis(const Tensor& a, int64_t axis);
 Tensor MeanAxis(const Tensor& a, int64_t axis);
@@ -98,11 +93,6 @@ Tensor Softmax(const Tensor& a);
 // same-numel, gradient does not flow into targets.
 Tensor BinaryCrossEntropyWithLogits(const Tensor& logits,
                                     const Tensor& targets);
-
-// --- Non-differentiable helpers -----------------------------------------------------
-// True when |a - b| <= atol + rtol * |b| elementwise (shapes must match).
-bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
-              float rtol = 1e-4f);
 
 // --- Defining an op ---------------------------------------------------------
 // Creates the op result and, when needed, attaches the autograd node built by

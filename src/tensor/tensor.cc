@@ -137,11 +137,6 @@ ShadowGradScope::~ShadowGradScope() {
   }
 }
 
-const std::vector<float>& ShadowGradScope::shadow_grad(size_t i) const {
-  TPGNN_CHECK_LT(i, buffers_.size());
-  return buffers_[i];
-}
-
 std::vector<float> ShadowGradScope::TakeShadowGrad(size_t i) {
   TPGNN_CHECK_LT(i, buffers_.size());
   std::vector<float> out = std::move(buffers_[i]);
@@ -223,19 +218,6 @@ Tensor Tensor::Randn(const Shape& shape, float stddev, Rng& rng,
   return Tensor(MakeImpl(shape, std::move(values), requires_grad));
 }
 
-Tensor Tensor::Eye(int64_t n) {
-  std::vector<float> values = util::AcquireBuffer(static_cast<size_t>(n * n));
-  for (int64_t i = 0; i < n; ++i) {
-    values[static_cast<size_t>(i * n + i)] = 1.0f;
-  }
-  return Tensor(MakeImpl({n, n}, std::move(values), false));
-}
-
-Tensor Tensor::FromImpl(std::shared_ptr<TensorImpl> impl) {
-  TPGNN_CHECK(impl != nullptr);
-  return Tensor(std::move(impl));
-}
-
 const Shape& Tensor::shape() const { return impl_->shape; }
 
 int64_t Tensor::dim() const { return static_cast<int64_t>(impl_->shape.size()); }
@@ -290,7 +272,7 @@ void Tensor::set_requires_grad(bool value) {
 void Tensor::Backward() {
   TPGNN_CHECK_EQ(numel(), 1)
       << "Backward() requires a scalar loss (got shape "
-      << ShapeToString(impl_->shape) << "); reduce with Sum()/Mean() first";
+      << ShapeToString(impl_->shape) << "); reduce with Sum() first";
   TPGNN_CHECK(impl_->requires_grad)
       << "Backward() on a tensor that does not require grad";
   if (impl_->grad_fn != nullptr) {
@@ -380,7 +362,7 @@ std::vector<float>& Tensor::MutableGrad() {
 
 namespace {
 
-// Pooled copy of an existing buffer (Detach/Clone/GradTensor).
+// Pooled copy of an existing buffer (Detach/Clone).
 std::vector<float> CopyToPooled(const std::vector<float>& src) {
   std::vector<float> out = util::AcquireBuffer(src.size());
   std::copy(src.begin(), src.end(), out.begin());
@@ -388,10 +370,6 @@ std::vector<float> CopyToPooled(const std::vector<float>& src) {
 }
 
 }  // namespace
-
-Tensor Tensor::GradTensor() const {
-  return FromVector(shape(), CopyToPooled(grad()), /*requires_grad=*/false);
-}
 
 void Tensor::ZeroGrad() {
   impl_->grad.assign(impl_->data.size(), 0.0f);

@@ -96,7 +96,7 @@ bool GradEnabled();
 // `impl->grad` as usual.
 //
 // After the concurrent section, the owner drains each scope with
-// `shadow_grads()` and sums the buffers into the real parameter gradients
+// `TakeShadowGrad()` and sums the buffers into the real parameter gradients
 // in a deterministic order (see eval::TrainClassifier).
 //
 // At most one scope may be live per thread.
@@ -109,11 +109,9 @@ class ShadowGradScope {
   ShadowGradScope(const ShadowGradScope&) = delete;
   ShadowGradScope& operator=(const ShadowGradScope&) = delete;
 
-  // Shadow buffer for the i-th shadowed impl (order of the constructor
-  // argument). Empty if no gradient reached it.
-  const std::vector<float>& shadow_grad(size_t i) const;
-  // Moves the i-th shadow buffer out (the scope's slot is left empty). The
-  // caller owns the buffer and should ReleaseBuffer() it once consumed.
+  // Moves the i-th shadow buffer (order of the constructor argument) out;
+  // empty if no gradient reached it, and the scope's slot is left empty.
+  // The caller owns the buffer and should ReleaseBuffer() it once consumed.
   std::vector<float> TakeShadowGrad(size_t i);
   size_t size() const { return shadowed_.size(); }
 
@@ -152,11 +150,6 @@ class Tensor {
   // Standard normal scaled by stddev.
   static Tensor Randn(const Shape& shape, float stddev, Rng& rng,
                       bool requires_grad = false);
-  // Identity matrix [n, n].
-  static Tensor Eye(int64_t n);
-
-  // Wraps an existing impl (used by ops).
-  static Tensor FromImpl(std::shared_ptr<TensorImpl> impl);
 
   // --- Introspection ------------------------------------------------------
 
@@ -191,7 +184,6 @@ class Tensor {
   const std::vector<float>& grad() const;
   // Mutable gradient buffer (e.g. for gradient clipping).
   std::vector<float>& MutableGrad();
-  Tensor GradTensor() const;
   void ZeroGrad();
 
   // A leaf copy sharing no autograd history (data is copied).

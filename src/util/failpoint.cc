@@ -140,22 +140,6 @@ bool ParseKind(const std::string& text, Kind* kind) {
   return true;
 }
 
-const char* KindName(Kind kind) {
-  switch (kind) {
-    case Kind::kReturnError:
-      return "return_error";
-    case Kind::kShortIo:
-      return "short_io";
-    case Kind::kDelay:
-      return "delay";
-    case Kind::kAllocFail:
-      return "alloc_fail";
-    case Kind::kCorruptByte:
-      return "corrupt_byte";
-  }
-  return "unknown";
-}
-
 Status InjectedError(StatusCode code, const char* site) {
   return Status(code, std::string("injected fault at ") + site);
 }

@@ -55,7 +55,6 @@ enum class Kind {
 
 // Parses "return_error" etc.; false on unknown names.
 bool ParseKind(const std::string& text, Kind* kind);
-const char* KindName(Kind kind);
 
 // One fired injection, as seen by the site.
 struct Hit {

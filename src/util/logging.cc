@@ -14,37 +14,6 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-LogLevel& MinLogLevel() {
-  static LogLevel level = LogLevel::kInfo;
-  return level;
-}
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-LogMessage::LogMessage(const char* file, int line, LogLevel level)
-    : level_(level) {
-  stream_ << "[" << LevelName(level) << " " << Basename(file) << ":" << line
-          << "] ";
-}
-
-LogMessage::~LogMessage() {
-  if (level_ >= MinLogLevel()) {
-    std::cerr << stream_.str() << std::endl;
-  }
-}
-
 FatalLogMessage::FatalLogMessage(const char* file, int line,
                                  const char* condition) {
   stream_ << "[FATAL " << Basename(file) << ":" << line << "] Check failed: "

@@ -6,41 +6,18 @@
 #include <sstream>
 #include <string>
 
-// Lightweight logging and invariant-checking macros.
+// Invariant-checking macros.
 //
 // CHECK-style macros are active in all build types (they do not depend on
 // NDEBUG): a failed check indicates API misuse or a broken internal invariant
 // and aborts after printing the failing condition and its source location.
-// LOG(level) writes a single formatted line to stderr.
 
 namespace tpgnn {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
 namespace internal_logging {
 
-// Minimum level that is actually emitted; settable for tests/quiet runs.
-LogLevel& MinLogLevel();
-
-const char* LevelName(LogLevel level);
-
-// Accumulates one log line and flushes it (with a newline) on destruction.
-class LogMessage {
- public:
-  LogMessage(const char* file, int line, LogLevel level);
-  ~LogMessage();
-
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
-
-  std::ostream& stream() { return stream_; }
-
- private:
-  std::ostringstream stream_;
-  LogLevel level_;
-};
-
-// Like LogMessage but aborts the process on destruction.
+// Accumulates the failure message and, on destruction, writes it to stderr
+// as one line and aborts the process.
 class FatalLogMessage {
  public:
   FatalLogMessage(const char* file, int line, const char* condition);
@@ -65,16 +42,6 @@ class Voidify {
 }  // namespace internal_logging
 
 }  // namespace tpgnn
-
-#define TPGNN_LOG_DEBUG ::tpgnn::LogLevel::kDebug
-#define TPGNN_LOG_INFO ::tpgnn::LogLevel::kInfo
-#define TPGNN_LOG_WARNING ::tpgnn::LogLevel::kWarning
-#define TPGNN_LOG_ERROR ::tpgnn::LogLevel::kError
-
-#define LOG(level)                                                       \
-  ::tpgnn::internal_logging::LogMessage(__FILE__, __LINE__,              \
-                                        TPGNN_LOG_##level)               \
-      .stream()
 
 #define TPGNN_CHECK(condition)                                           \
   (condition) ? (void)0                                                  \

@@ -32,8 +32,6 @@ uint64_t ReadStatusKb(const char* field) {
 
 }  // namespace
 
-uint64_t CurrentRssKb() { return ReadStatusKb("VmRSS"); }
-
 uint64_t PeakRssKb() { return ReadStatusKb("VmHWM"); }
 
 }  // namespace tpgnn::util

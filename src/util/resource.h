@@ -3,21 +3,18 @@
 
 #include <cstdint>
 
-// Process resource probes for the soak harness and serving metrics
-// (DESIGN.md §4.9): resident-set readings from the kernel, used to assert
-// that memory stays bounded over sustained runs. Both calls are cheap (one
-// /proc read) but not hot-path cheap — they are meant for checkpoint-rate
-// sampling, not per-event accounting.
+// Process resource probe for the soak harness and serving metrics
+// (DESIGN.md §4.9): the resident-set high-water mark from the kernel, used
+// to assert that memory stays bounded over sustained runs. The call is
+// cheap (one /proc read) but not hot-path cheap — it is meant for
+// checkpoint-rate sampling, not per-event accounting.
 
 namespace tpgnn::util {
 
-// Current resident set size in KiB (Linux: VmRSS from /proc/self/status).
-// 0 when the platform offers no probe — callers must treat 0 as "unknown",
-// never as "no memory".
-uint64_t CurrentRssKb();
-
-// Peak resident set size in KiB (Linux: VmHWM — the kernel's own high-water
-// mark, monotone over the process lifetime). 0 when unavailable.
+// Peak resident set size in KiB (Linux: VmHWM from /proc/self/status — the
+// kernel's own high-water mark, monotone over the process lifetime). 0 when
+// the platform offers no probe — callers must treat 0 as "unknown", never
+// as "no memory".
 uint64_t PeakRssKb();
 
 }  // namespace tpgnn::util

@@ -12,17 +12,10 @@ uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
   for (uint64_t& word : state_) {
-    word = SplitMix64(sm);
+    word = SplitMix64(seed);
+    seed += kSplitMix64Gamma;
   }
 }
 
@@ -87,8 +80,6 @@ double Rng::Normal(double mean, double stddev) {
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {
   TPGNN_CHECK(!weights.empty());

@@ -15,9 +15,18 @@
 
 namespace tpgnn {
 
-// Stateless 64-bit mixer; used to expand a single seed into engine state and
-// to derive independent per-component seeds.
-uint64_t SplitMix64(uint64_t& state);
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+// SplitMix64's bijective 64-bit mix of state + gamma. Pure, so the
+// generator's stream from state x is SplitMix64(x), SplitMix64(x + gamma),
+// ... It seeds Rng's engine state and derives per-component seeds, session
+// ids, ring points, A/B picks and shard choices.
+inline uint64_t SplitMix64(uint64_t state) {
+  uint64_t z = state + kSplitMix64Gamma;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 class Rng {
  public:
@@ -53,9 +62,6 @@ class Rng {
 
   // True with probability p.
   bool Bernoulli(double p);
-
-  // Derives an independent child generator (e.g. one per dataset graph).
-  Rng Fork();
 
   // Fisher-Yates shuffle.
   template <typename T>

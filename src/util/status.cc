@@ -35,8 +35,4 @@ std::string Status::ToString() const {
   return std::string(CodeName(code_)) + ": " + message_;
 }
 
-std::ostream& operator<<(std::ostream& os, const Status& status) {
-  return os << status.ToString();
-}
-
 }  // namespace tpgnn

@@ -1,7 +1,6 @@
 #ifndef TPGNN_UTIL_STATUS_H_
 #define TPGNN_UTIL_STATUS_H_
 
-#include <ostream>
 #include <string>
 #include <utility>
 
@@ -68,8 +67,6 @@ class Status {
   StatusCode code_;
   std::string message_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Status& status);
 
 }  // namespace tpgnn
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <deque>
 
 #include "util/logging.h"
@@ -12,7 +11,6 @@ namespace tpgnn::workload {
 
 namespace {
 
-constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
 // Lane salts so identity, content, and scheduling never share a stream.
 constexpr uint64_t kContentLane = 0x636f6e74656e7421ULL;   // "content!"
 constexpr uint64_t kScheduleLane = 0x7363686564756c65ULL;  // "schedule"
@@ -20,15 +18,13 @@ constexpr uint64_t kScheduleLane = 0x7363686564756c65ULL;  // "schedule"
 }  // namespace
 
 uint64_t SessionId(uint64_t seed, uint64_t index) {
-  // SplitMix64 advances by one gamma then applies a bijective mix, so this
-  // is mix(seed + (index + 1) * gamma): unique per index within a seed.
-  uint64_t state = seed + index * kGamma;
-  return SplitMix64(state);
+  // SplitMix64 mixes its state plus one gamma bijectively, so this is
+  // mix(seed + (index + 1) * gamma): unique per index within a seed.
+  return SplitMix64(seed + index * kSplitMix64Gamma);
 }
 
 uint64_t SessionSeed(uint64_t seed, uint64_t index) {
-  uint64_t state = (seed ^ kContentLane) + index * kGamma;
-  return SplitMix64(state);
+  return SplitMix64((seed ^ kContentLane) + index * kSplitMix64Gamma);
 }
 
 // Header of one session: every draw before the first per-edge draw, in the
@@ -86,10 +82,7 @@ EdgeDraw DrawEdge(Rng& rng, int64_t num_nodes, double edge_time_gap_mean,
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadOptions& options)
     : options_(options),
-      schedule_rng_([&] {
-        uint64_t state = options.seed ^ kScheduleLane;
-        return Rng(SplitMix64(state));
-      }()) {
+      schedule_rng_(SplitMix64(options.seed ^ kScheduleLane)) {
   TPGNN_CHECK(!options_.tenants.empty()) << "workload needs >= 1 tenant";
   TPGNN_CHECK_GT(options_.session_arrival_rate, 0.0);
   TPGNN_CHECK_GE(options_.max_open_sessions, 1u);
@@ -309,36 +302,6 @@ MaterializedSession WorkloadGenerator::MaterializeSession(
     session.edges.push_back({d.src, d.dst, session_time});
   }
   return session;
-}
-
-void AppendEventBytes(const serve::Event& event, std::string* out) {
-  auto put_u64 = [out](uint64_t v) {
-    char bytes[8];
-    std::memcpy(bytes, &v, sizeof(bytes));
-    out->append(bytes, sizeof(bytes));
-  };
-  auto put_f64 = [&put_u64](double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(bits);
-  };
-  put_u64(static_cast<uint64_t>(event.kind));
-  put_u64(event.session_id);
-  put_f64(event.time);
-  put_u64(static_cast<uint64_t>(event.num_nodes));
-  put_u64(static_cast<uint64_t>(event.feature_dim));
-  for (const serve::NodeInit& f : event.features) {
-    put_u64(static_cast<uint64_t>(f.node));
-    for (float v : f.features) {
-      uint32_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      put_u64(bits);
-    }
-  }
-  put_u64(static_cast<uint64_t>(event.src));
-  put_u64(static_cast<uint64_t>(event.dst));
-  put_f64(event.edge_time);
-  put_u64(static_cast<uint64_t>(static_cast<int64_t>(event.label)));
 }
 
 }  // namespace tpgnn::workload

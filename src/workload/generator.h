@@ -197,11 +197,6 @@ class WorkloadGenerator {
   std::deque<std::pair<serve::Event, uint64_t>> pending_;
 };
 
-// Canonical byte serialization of one event, appended to *out. The
-// determinism tests compare streams through this, so any field the
-// generator controls participates.
-void AppendEventBytes(const serve::Event& event, std::string* out);
-
 }  // namespace tpgnn::workload
 
 #endif  // TPGNN_WORKLOAD_GENERATOR_H_

@@ -25,8 +25,8 @@ bool SampledForParity(uint64_t session_id, double rate) {
   if (rate >= 1.0) {
     return true;
   }
-  uint64_t state = session_id ^ 0x7061726974792121ULL;  // "parity!!"
-  const uint64_t u = SplitMix64(state);
+  const uint64_t salt = 0x7061726974792121ULL;  // "parity!!"
+  const uint64_t u = SplitMix64(session_id ^ salt);
   return static_cast<double>(u >> 11) * 0x1.0p-53 < rate;
 }
 

@@ -9,6 +9,7 @@
 #include "core/model.h"
 #include "core/transformer_extractor.h"
 #include "tensor/ops.h"
+#include "testing/all_close.h"
 #include "testing/gradcheck.h"
 
 namespace tpgnn::core {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
+#include "testing/all_close.h"
 #include "testing/gradcheck.h"
 
 namespace tpgnn::core {

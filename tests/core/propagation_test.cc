@@ -11,6 +11,7 @@
 
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "testing/all_close.h"
 #include "testing/gradcheck.h"
 #include "util/buffer_pool.h"
 

@@ -67,19 +67,6 @@ TEST(AdjacencyTest, RowNormalizeRowsSumToOne) {
   }
 }
 
-TEST(AdjacencyTest, LaplacianRowsSumToZero) {
-  Tensor a = DenseAdjacency(4, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}},
-                            {.symmetric = true, .add_self_loops = false});
-  Tensor lap = Laplacian(a);
-  for (int64_t i = 0; i < 4; ++i) {
-    float total = 0.0f;
-    for (int64_t j = 0; j < 4; ++j) total += lap.at({i, j});
-    EXPECT_NEAR(total, 0.0f, 1e-6f);
-  }
-  EXPECT_EQ(lap.at({1, 1}), 2.0f);  // Middle of the path has degree 2.
-  EXPECT_EQ(lap.at({0, 1}), -1.0f);
-}
-
 TEST(AdjacencyTest, NormalizedLaplacianDiagonalOnes) {
   Tensor a = DenseAdjacency(3, {{0, 1, 1}, {1, 2, 1}},
                             {.symmetric = true, .add_self_loops = false});

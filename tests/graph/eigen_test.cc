@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/adjacency.h"
 #include "util/rng.h"
 
 namespace tpgnn::graph {
@@ -100,19 +99,25 @@ TEST(EigenTest, TraceEqualsEigenvalueSum) {
 }
 
 TEST(EigenTest, LaplacianSmallestEigenvalueIsZero) {
-  // Connected path graph: Laplacian has exactly one zero eigenvalue.
-  Tensor adj = DenseAdjacency(5, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}},
-                              {.symmetric = true, .add_self_loops = false});
-  auto d = JacobiEigenDecomposition(Laplacian(adj));
+  // Connected path graph: its Laplacian D - A has exactly one zero
+  // eigenvalue.
+  Tensor lap = Tensor::FromVector({5, 5}, {1, -1, 0, 0, 0,   //
+                                           -1, 2, -1, 0, 0,  //
+                                           0, -1, 2, -1, 0,  //
+                                           0, 0, -1, 2, -1,  //
+                                           0, 0, 0, -1, 1});
+  auto d = JacobiEigenDecomposition(lap);
   EXPECT_NEAR(d.eigenvalues[0], 0.0, 1e-8);
   EXPECT_GT(d.eigenvalues[1], 1e-6);  // Algebraic connectivity > 0.
 }
 
 TEST(EigenTest, DisconnectedGraphHasTwoZeroEigenvalues) {
   // Two disjoint edges -> two connected components -> two zero eigenvalues.
-  Tensor adj = DenseAdjacency(4, {{0, 1, 1}, {2, 3, 1}},
-                              {.symmetric = true, .add_self_loops = false});
-  auto d = JacobiEigenDecomposition(Laplacian(adj));
+  Tensor lap = Tensor::FromVector({4, 4}, {1, -1, 0, 0,   //
+                                           -1, 1, 0, 0,   //
+                                           0, 0, 1, -1,   //
+                                           0, 0, -1, 1});
+  auto d = JacobiEigenDecomposition(lap);
   EXPECT_NEAR(d.eigenvalues[0], 0.0, 1e-8);
   EXPECT_NEAR(d.eigenvalues[1], 0.0, 1e-8);
   EXPECT_GT(d.eigenvalues[2], 1e-6);

@@ -55,13 +55,16 @@ TEST(InfluenceTest, Figure1LongDependency) {
 }
 
 TEST(InfluenceTest, EqualTimestampsFollowProcessingOrder) {
-  std::vector<TemporalEdge> order1 = {{0, 1, 1.0}, {1, 2, 1.0}};
-  InfluenceClosure c1(3, order1);
-  EXPECT_TRUE(c1.Influences(0, 2));  // (0,1) processed before (1,2).
+  // ChronologicalEdges() is a stable sort: equal times keep insertion order.
+  TemporalGraph order1(3, 1);
+  order1.AddEdge(0, 1, 1.0);
+  order1.AddEdge(1, 2, 1.0);
+  EXPECT_TRUE(InfluenceClosure(order1).Influences(0, 2));  // (0,1) first.
 
-  std::vector<TemporalEdge> order2 = {{1, 2, 1.0}, {0, 1, 1.0}};
-  InfluenceClosure c2(3, order2);
-  EXPECT_FALSE(c2.Influences(0, 2));
+  TemporalGraph order2(3, 1);
+  order2.AddEdge(1, 2, 1.0);
+  order2.AddEdge(0, 1, 1.0);
+  EXPECT_FALSE(InfluenceClosure(order2).Influences(0, 2));
 }
 
 TEST(InfluenceTest, InfluencersOfCollectsAllAncestors) {
@@ -90,11 +93,6 @@ TEST(InfluenceTest, RepeatedEdgeRefreshesInformation) {
   g.AddEdge(7, 6, 3.0);
   InfluenceClosure closure(g);
   EXPECT_TRUE(closure.Influences(8, 6));
-}
-
-TEST(InfluenceTest, RejectsUnsortedEdgeList) {
-  std::vector<TemporalEdge> bad = {{0, 1, 2.0}, {1, 2, 1.0}};
-  EXPECT_DEATH(InfluenceClosure(3, bad), "sorted");
 }
 
 TEST(InfluenceTest, RandomGraphClosureMatchesPathSearch) {

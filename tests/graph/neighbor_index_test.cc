@@ -58,20 +58,11 @@ TEST(NeighborIndexTest, NoNeighborsBeforeEarliestTime) {
   EXPECT_TRUE(index.Recent(1, 0.5, 5).empty());
 }
 
-TEST(NeighborIndexTest, AllBeforeIsChronological) {
-  TemporalNeighborIndex index(MakeGraph(), /*undirected=*/false);
-  auto all = index.AllBefore(1, 2.5);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].time, 1.0);
-  EXPECT_EQ(all[1].time, 2.0);
-}
-
 TEST(NeighborIndexTest, IsolatedNode) {
   TemporalGraph g(3, 1);
   g.AddEdge(0, 1, 1.0);
   TemporalNeighborIndex index(g);
   EXPECT_TRUE(index.Recent(2, 10.0, 3).empty());
-  EXPECT_TRUE(index.AllBefore(2, 10.0).empty());
 }
 
 }  // namespace

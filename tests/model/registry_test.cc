@@ -36,6 +36,14 @@ float Logit(core::TpGnnModel& model, const graph::TemporalGraph& g) {
   return model.ForwardLogit(g, /*training=*/false, rng).item();
 }
 
+// The candidate role as Versions() reports it: its name, or "" when unset.
+std::string CandidateName(const ModelRegistry& registry) {
+  for (const ModelVersionInfo& info : registry.Versions()) {
+    if (info.is_candidate) return info.name;
+  }
+  return "";
+}
+
 // Temp checkpoint path unique per test to keep parallel ctest runs apart.
 std::string TempCheckpointPath(const std::string& tag) {
   const ::testing::TestInfo* info =
@@ -46,14 +54,14 @@ std::string TempCheckpointPath(const std::string& tag) {
 
 TEST(ModelRegistryTest, InitialVersionIsPrimary) {
   ModelRegistry registry(TinyConfig(), /*seed=*/3);
-  ASSERT_NE(registry.primary(), nullptr);
-  EXPECT_EQ(registry.primary()->name(), "v0");
-  EXPECT_EQ(registry.candidate(), nullptr);
+  ASSERT_NE(registry.Find(""), nullptr);
+  EXPECT_EQ(registry.Find("")->name(), "v0");
+  EXPECT_EQ(CandidateName(registry), "");
   EXPECT_EQ(registry.shadow(), nullptr);
   // The empty name resolves to the primary (v1 snapshots carry no tag).
-  EXPECT_EQ(registry.Find(""), registry.primary());
+  EXPECT_EQ(registry.Find(""), registry.Find("v0"));
   EXPECT_EQ(registry.Find("nope"), nullptr);
-  EXPECT_EQ(registry.ResolveForSession(42), registry.primary());
+  EXPECT_EQ(registry.ResolveForSession(42), registry.Find(""));
 }
 
 TEST(ModelRegistryTest, RegisterRejectsDuplicatesAndEmptyNames) {
@@ -73,13 +81,13 @@ TEST(ModelRegistryTest, DrainActivationKeepsEpochRebaseBumpsIt) {
 
   const uint64_t epoch0 = registry.assignment_epoch();
   ASSERT_TRUE(registry.Activate("v1", SwapPolicy::kDrain).ok());
-  EXPECT_EQ(registry.primary()->name(), "v1");
+  EXPECT_EQ(registry.Find("")->name(), "v1");
   // Drain: live sessions keep their pinned version, so no epoch bump —
   // nothing about existing assignments changed.
   EXPECT_EQ(registry.assignment_epoch(), epoch0);
 
   ASSERT_TRUE(registry.Activate("v2", SwapPolicy::kImmediateRebase).ok());
-  EXPECT_EQ(registry.primary()->name(), "v2");
+  EXPECT_EQ(registry.Find("")->name(), "v2");
   EXPECT_GT(registry.assignment_epoch(), epoch0);
 
   EXPECT_EQ(registry.Activate("nope", SwapPolicy::kDrain).code(),
@@ -93,7 +101,8 @@ TEST(ModelRegistryTest, AbSplitIsDeterministicAndEpochStamped) {
   const uint64_t epoch0 = registry.assignment_epoch();
   ASSERT_TRUE(registry.SetCandidate("v1", 0.5).ok());
   EXPECT_GT(registry.assignment_epoch(), epoch0);
-  EXPECT_DOUBLE_EQ(registry.ab_fraction(), 0.5);
+  EXPECT_NE(registry.StatusJson().find("\"ab_fraction\": 0.5,"),
+            std::string::npos);
 
   size_t candidate_hits = 0;
   for (uint64_t id = 0; id < 512; ++id) {
@@ -125,7 +134,7 @@ TEST(ModelRegistryTest, AbSplitIsDeterministicAndEpochStamped) {
   const uint64_t epoch1 = registry.assignment_epoch();
   ASSERT_TRUE(registry.ClearCandidate().ok());
   EXPECT_GT(registry.assignment_epoch(), epoch1);
-  EXPECT_EQ(registry.candidate(), nullptr);
+  EXPECT_EQ(CandidateName(registry), "");
   EXPECT_EQ(registry.ResolveForSession(7)->name(), "v0");
 }
 
@@ -134,9 +143,10 @@ TEST(ModelRegistryTest, ActivatingTheCandidateClearsTheRole) {
   ASSERT_TRUE(registry.Register("v1", 7).ok());
   ASSERT_TRUE(registry.SetCandidate("v1", 0.25).ok());
   ASSERT_TRUE(registry.Activate("v1", SwapPolicy::kDrain).ok());
-  EXPECT_EQ(registry.primary()->name(), "v1");
-  EXPECT_EQ(registry.candidate(), nullptr);
-  EXPECT_DOUBLE_EQ(registry.ab_fraction(), 0.0);
+  EXPECT_EQ(registry.Find("")->name(), "v1");
+  EXPECT_EQ(CandidateName(registry), "");
+  EXPECT_NE(registry.StatusJson().find("\"ab_fraction\": 0,"),
+            std::string::npos);
 }
 
 TEST(ModelRegistryTest, ShadowRoleSetAndClear) {
@@ -177,7 +187,7 @@ TEST(ModelRegistryTest, LoadRoundTripsCheckpointParameters) {
   ASSERT_NE(registry.Find("v2"), nullptr);
   EXPECT_EQ(registry.Find("v2")->source_path(), path);
   // Loading does not activate.
-  EXPECT_EQ(registry.primary()->name(), "v0");
+  EXPECT_EQ(registry.Find("")->name(), "v0");
 
   // The loaded version scores exactly as the checkpoint's source model.
   graph::GraphDataset dataset =
@@ -245,10 +255,10 @@ TEST(ModelRegistryTest, InjectedActivateFaultKeepsOldPrimary) {
     EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(fp.fires(), 1u);
   }
-  EXPECT_EQ(registry.primary()->name(), "v0");
+  EXPECT_EQ(registry.Find("")->name(), "v0");
   EXPECT_EQ(registry.assignment_epoch(), epoch0);
   EXPECT_TRUE(registry.Activate("v1", SwapPolicy::kImmediateRebase).ok());
-  EXPECT_EQ(registry.primary()->name(), "v1");
+  EXPECT_EQ(registry.Find("")->name(), "v1");
 }
 
 TEST(ModelRegistryTest, StatusJsonNamesRolesAndVersions) {

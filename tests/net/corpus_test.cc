@@ -23,6 +23,7 @@
 
 #include "net/protocol.h"
 #include "serve/event.h"
+#include "util/byte_codec.h"
 #include "util/env.h"
 
 #ifndef TPGNN_TEST_CORPUS_DIR

@@ -12,6 +12,7 @@
 
 #include "net/protocol.h"
 #include "serve/event.h"
+#include "util/byte_codec.h"
 
 namespace tpgnn::net {
 namespace {
@@ -258,6 +259,33 @@ TEST(ProtocolFuzzTest, HostileLengthPrefixes) {
   std::memcpy(hostile_batch.data() + 8, &len32, sizeof(len32));
   hostile_batch.insert(hostile_batch.end(), payload.begin(), payload.end());
   EXPECT_EQ(DecodeExpectingNoCrash(hostile_batch), StatusCode::kDataLoss);
+
+  // Varint overflow in a PING's request id, its whole payload: the tenth
+  // byte may carry only bit 63, and no varint runs past ten bytes.
+  const auto ping_with_id_bytes = [&wire](const std::vector<uint8_t>& id) {
+    std::vector<uint8_t> frame = wire;
+    frame.resize(kFrameHeaderBytes);
+    const uint32_t len = static_cast<uint32_t>(id.size());
+    std::memcpy(frame.data() + 8, &len, sizeof(len));
+    frame.insert(frame.end(), id.begin(), id.end());
+    return frame;
+  };
+  std::vector<uint8_t> max_id(9, 0xff);
+  max_id.push_back(0x01);
+  Frame decoded;
+  size_t consumed = 0;
+  const std::vector<uint8_t> max_frame = ping_with_id_bytes(max_id);
+  ASSERT_TRUE(DecodeFrame(max_frame.data(), max_frame.size(),
+                          kDefaultMaxPayloadBytes, &decoded, &consumed)
+                  .ok());
+  EXPECT_EQ(decoded.request_id, ~uint64_t{0});
+  std::vector<uint8_t> tenth_byte_two(9, 0xff);
+  tenth_byte_two.push_back(0x02);
+  EXPECT_EQ(DecodeExpectingNoCrash(ping_with_id_bytes(tenth_byte_two)),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeExpectingNoCrash(
+                ping_with_id_bytes(std::vector<uint8_t>(11, 0x80))),
+            StatusCode::kDataLoss);
 }
 
 TEST(ProtocolFuzzTest, WrongVersionRejectedBeforePayloadArrives) {

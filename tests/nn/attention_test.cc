@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
+#include "testing/all_close.h"
 #include "testing/gradcheck.h"
 #include "util/rng.h"
 

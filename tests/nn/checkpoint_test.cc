@@ -9,6 +9,7 @@
 #include "nn/gru_cell.h"
 #include "nn/linear.h"
 #include "tensor/ops.h"
+#include "testing/all_close.h"
 #include "util/rng.h"
 
 namespace tpgnn::nn {

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/embedding.h"
 #include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/time_encoding.h"
 #include "tensor/ops.h"
+#include "testing/all_close.h"
 #include "testing/gradcheck.h"
 #include "util/rng.h"
 
@@ -77,27 +77,6 @@ TEST(LinearTest, GradCheckThroughLayer) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
-TEST(EmbeddingTest, LookupShapeAndAliasing) {
-  Rng rng(7);
-  Embedding emb(10, 4, rng);
-  Tensor e = emb.Forward({0, 3, 3});
-  EXPECT_EQ(e.shape(), (Shape{3, 4}));
-  for (int64_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(e.at({1, c}), e.at({2, c}));
-  }
-}
-
-TEST(EmbeddingTest, GradientFlowsToRows) {
-  Rng rng(8);
-  Embedding emb(5, 3, rng);
-  Tensor e = emb.Forward({1, 1});
-  tensor::Sum(e).Backward();
-  Tensor w = emb.Parameters()[0];
-  // Row 1 selected twice -> grad 2; other rows untouched.
-  EXPECT_EQ(w.grad()[1 * 3], 2.0f);
-  EXPECT_EQ(w.grad()[0], 0.0f);
-}
-
 TEST(Time2VecTest, OutputDimAndLinearFirstCoordinate) {
   Rng rng(9);
   Time2Vec t2v(6, rng);
@@ -117,17 +96,6 @@ TEST(Time2VecTest, PeriodicCoordinatesBounded) {
     for (int64_t i = 1; i < 8; ++i) {
       EXPECT_LE(std::abs(y.at({i})), 1.0f + 1e-6f);
     }
-  }
-}
-
-TEST(Time2VecTest, BatchMatchesSingle) {
-  Rng rng(11);
-  Time2Vec t2v(4, rng);
-  Tensor batch = t2v.Forward(std::vector<float>{1.0f, 2.0f});
-  EXPECT_EQ(batch.shape(), (Shape{2, 4}));
-  Tensor single = t2v.Forward(2.0f);
-  for (int64_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(batch.at({1, c}), single.at({c}));
   }
 }
 

@@ -54,15 +54,5 @@ TEST(ModuleTest, ParametersAliasModuleStorage) {
   EXPECT_EQ(m.own_.data()[0], 42.0f);
 }
 
-TEST(ModuleTest, ZeroGradClearsAllParameters) {
-  Rng rng(5);
-  Composite m(rng);
-  tensor::Tensor loss = tensor::Sum(m.own_);
-  loss.Backward();
-  EXPECT_EQ(m.own_.grad()[0], 1.0f);
-  m.ZeroGrad();
-  EXPECT_EQ(m.own_.grad()[0], 0.0f);
-}
-
 }  // namespace
 }  // namespace tpgnn::nn

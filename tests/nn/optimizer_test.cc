@@ -13,27 +13,6 @@ namespace {
 
 using tensor::Tensor;
 
-TEST(SgdTest, MinimizesQuadratic) {
-  Tensor x = Tensor::FromVector({1}, {5.0f}, true);
-  Sgd opt({x}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    opt.ZeroGrad();
-    Tensor loss = tensor::Mul(x, x);
-    loss.Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(x.item(), 0.0f, 1e-4f);
-}
-
-TEST(SgdTest, StepIsLinearInGradient) {
-  Tensor x = Tensor::FromVector({1}, {1.0f}, true);
-  Sgd opt({x}, 0.5f);
-  opt.ZeroGrad();
-  tensor::Scale(x, 3.0f).Backward();  // grad = 3.
-  opt.Step();
-  EXPECT_NEAR(x.item(), 1.0f - 0.5f * 3.0f, 1e-6f);
-}
-
 TEST(AdamTest, MinimizesQuadratic) {
   Tensor x = Tensor::FromVector({2}, {4.0f, -3.0f}, true);
   Adam opt({x}, 0.1f);
@@ -64,7 +43,8 @@ TEST(AdamTest, FitsLinearRegression) {
     opt.ZeroGrad();
     Tensor pred = fc.Forward(xs);
     Tensor diff = tensor::Sub(pred, target);
-    Tensor loss = tensor::Mean(tensor::Mul(diff, diff));
+    Tensor loss =
+        tensor::Scale(tensor::Sum(tensor::Mul(diff, diff)), 1.0f / 32);
     loss.Backward();
     opt.Step();
     final_loss = loss.item();
@@ -84,7 +64,7 @@ TEST(AdamTest, FirstStepMagnitudeIsLearningRate) {
 
 TEST(OptimizerTest, ZeroGradResetsAccumulation) {
   Tensor x = Tensor::FromVector({1}, {1.0f}, true);
-  Sgd opt({x}, 1.0f);
+  Adam opt({x}, 1.0f);
   tensor::Scale(x, 2.0f).Backward();
   tensor::Scale(x, 2.0f).Backward();
   EXPECT_FLOAT_EQ(x.grad()[0], 4.0f);
@@ -95,12 +75,13 @@ TEST(OptimizerTest, ZeroGradResetsAccumulation) {
 TEST(OptimizerTest, MultipleParameterGroups) {
   Tensor a = Tensor::FromVector({1}, {2.0f}, true);
   Tensor b = Tensor::FromVector({1}, {-2.0f}, true);
-  Sgd opt({a, b}, 0.5f);
+  Adam opt({a, b}, 0.5f);
   opt.ZeroGrad();
   tensor::Sum(tensor::Add(tensor::Mul(a, a), tensor::Mul(b, b))).Backward();
   opt.Step();
-  EXPECT_NEAR(a.item(), 0.0f, 1e-6f);  // 2 - 0.5*4
-  EXPECT_NEAR(b.item(), 0.0f, 1e-6f);
+  // Each group takes its own first Adam step, ~lr * sign(grad).
+  EXPECT_NEAR(a.item(), 1.5f, 1e-4f);
+  EXPECT_NEAR(b.item(), -1.5f, 1e-4f);
 }
 
 }  // namespace

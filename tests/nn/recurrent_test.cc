@@ -5,6 +5,7 @@
 #include "nn/gru_cell.h"
 #include "nn/lstm_cell.h"
 #include "tensor/ops.h"
+#include "testing/all_close.h"
 #include "testing/gradcheck.h"
 #include "util/rng.h"
 

@@ -477,7 +477,7 @@ TEST(MetricsJsonTest, DamagedPayloadParsesOrFailsTyped) {
                           size_t at) {
     const Status st = ParseMetricsJson(damaged, &scratch);
     EXPECT_TRUE(st.ok() || st.code() == StatusCode::kDataLoss)
-        << what << " at byte " << at << ": " << st;
+        << what << " at byte " << at << ": " << st.ToString();
   };
   for (size_t len = 0; len < payload.size(); ++len) {
     expect_typed(payload.substr(0, len), "truncated", len);

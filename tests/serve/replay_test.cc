@@ -38,7 +38,6 @@ TEST(ReplayTest, StreamIsTimeOrderedAndComplete) {
     EXPECT_GE(e.time, previous);  // Nondecreasing stream clock.
     previous = e.time;
   }
-  EXPECT_EQ(replayer.duration(), previous);
 }
 
 TEST(ReplayTest, PerSessionSequencingIsPreserved) {
@@ -121,7 +120,6 @@ TEST(ReplayTest, SpeedCompressesStreamClockOnly) {
   EventReplayer compressed(dataset, fast);
 
   ASSERT_EQ(baseline.events().size(), compressed.events().size());
-  EXPECT_NEAR(compressed.duration(), baseline.duration() / 4.0, 1e-9);
   for (size_t i = 0; i < baseline.events().size(); ++i) {
     const Event& a = baseline.events()[i];
     const Event& b = compressed.events()[i];

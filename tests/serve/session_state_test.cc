@@ -138,6 +138,34 @@ TEST(SessionStateTest, ErrorsNameTheDamage) {
     EXPECT_EQ(s.code(), StatusCode::kDataLoss);
     EXPECT_NE(s.ToString().find("bad header"), std::string::npos);
   }
+  {
+    // Varint overflow in the session id: the tenth byte may carry only
+    // bit 63, and no varint runs past ten bytes. The id follows the 4-byte
+    // magic and the version byte.
+    size_t id_end = 5;
+    while ((blob[id_end] & 0x80) != 0) ++id_end;
+    const auto with_id_bytes = [&](const std::vector<uint8_t>& id) {
+      std::vector<uint8_t> out = blob;
+      out.erase(out.begin() + 5,
+                out.begin() + static_cast<std::ptrdiff_t>(id_end + 1));
+      out.insert(out.begin() + 5, id.begin(), id.end());
+      return out;
+    };
+    std::vector<uint8_t> max_id(9, 0xff);
+    max_id.push_back(0x01);
+    const std::vector<uint8_t> good = with_id_bytes(max_id);
+    ASSERT_TRUE(ParseSessionState(good.data(), good.size(), &scratch).ok());
+    EXPECT_EQ(scratch.session_id, ~uint64_t{0});
+    std::vector<uint8_t> tenth_byte_two(9, 0xff);
+    tenth_byte_two.push_back(0x02);
+    for (const std::vector<uint8_t>& id :
+         {tenth_byte_two, std::vector<uint8_t>(11, 0x80)}) {
+      const std::vector<uint8_t> bad = with_id_bytes(id);
+      Status s = ParseSessionState(bad.data(), bad.size(), &scratch);
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+      EXPECT_NE(s.ToString().find("bad header"), std::string::npos);
+    }
+  }
 }
 
 TEST(SessionStateTest, StructuralLiesFailEvenWhenWellFramed) {

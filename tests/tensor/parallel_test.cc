@@ -140,7 +140,7 @@ TEST(ParallelTest, ConcurrentBackwardWithShadowGradsMatchesSerial) {
     ShadowGradScope scope(shadowed);
     Tensor loss = Sum(Tanh(MatMul(xs[static_cast<size_t>(t)], w)));
     loss.Backward();
-    shadow_grads[static_cast<size_t>(t)] = scope.shadow_grad(0);
+    shadow_grads[static_cast<size_t>(t)] = scope.TakeShadowGrad(0);
   });
 
   // The shared parameter's real gradient buffer must be untouched...
@@ -167,8 +167,9 @@ TEST(ParallelTest, ShadowScopeLeavesUnrelatedTensorsAlone) {
     Tensor loss = Sum(Mul(w, v));
     loss.Backward();
     // w's gradient went to the shadow buffer; v's went to the real one.
-    EXPECT_FLOAT_EQ(scope.shadow_grad(0)[0], 3.0f);
-    EXPECT_FLOAT_EQ(scope.shadow_grad(0)[1], 4.0f);
+    const std::vector<float> shadow = scope.TakeShadowGrad(0);
+    EXPECT_FLOAT_EQ(shadow[0], 3.0f);
+    EXPECT_FLOAT_EQ(shadow[1], 4.0f);
   }
   EXPECT_FLOAT_EQ(w.grad()[0], 0.0f);
   EXPECT_FLOAT_EQ(w.grad()[1], 0.0f);

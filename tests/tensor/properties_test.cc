@@ -9,6 +9,7 @@
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "testing/all_close.h"
 #include "util/rng.h"
 
 namespace tpgnn::tensor {
@@ -60,12 +61,6 @@ TEST_P(ElementwiseProperties, NegIsScaleMinusOne) {
   Rng rng(std::get<2>(GetParam()) + 4);
   Tensor a = Rand(rng);
   EXPECT_TRUE(AllClose(Neg(a), Scale(a, -1.0f), 0.0f, 0.0f));
-}
-
-TEST_P(ElementwiseProperties, ExpLogRoundTrip) {
-  Rng rng(std::get<2>(GetParam()) + 5);
-  Tensor a = Rand(rng, 0.1f, 3.0f);
-  EXPECT_TRUE(AllClose(Exp(Log(a)), a, 1e-5f, 1e-5f));
 }
 
 TEST_P(ElementwiseProperties, SinSquaredPlusCosSquared) {
@@ -127,6 +122,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 class MatMulProperties : public ::testing::TestWithParam<uint64_t> {};
 
+Tensor Identity(int64_t n) {
+  Tensor eye = Tensor::Zeros({n, n});
+  for (int64_t i = 0; i < n; ++i) eye.MutableAt({i, i}) = 1.0f;
+  return eye;
+}
+
 TEST_P(MatMulProperties, AssociativityOnRandomChains) {
   Rng rng(GetParam());
   const int64_t n = rng.UniformInt(1, 6);
@@ -156,8 +157,8 @@ TEST_P(MatMulProperties, IdentityIsNeutral) {
   const int64_t n = rng.UniformInt(1, 8);
   const int64_t m = rng.UniformInt(1, 8);
   Tensor a = Tensor::Uniform({n, m}, -1, 1, rng);
-  EXPECT_TRUE(AllClose(MatMul(a, Tensor::Eye(m)), a, 1e-6f, 1e-6f));
-  EXPECT_TRUE(AllClose(MatMul(Tensor::Eye(n), a), a, 1e-6f, 1e-6f));
+  EXPECT_TRUE(AllClose(MatMul(a, Identity(m)), a, 1e-6f, 1e-6f));
+  EXPECT_TRUE(AllClose(MatMul(Identity(n), a), a, 1e-6f, 1e-6f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatMulProperties,

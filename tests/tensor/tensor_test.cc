@@ -57,15 +57,6 @@ TEST(TensorTest, ScalarItem) {
   EXPECT_EQ(s.item(), 3.5f);
 }
 
-TEST(TensorTest, EyeIsIdentity) {
-  Tensor e = Tensor::Eye(3);
-  for (int64_t i = 0; i < 3; ++i) {
-    for (int64_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(e.at({i, j}), i == j ? 1.0f : 0.0f);
-    }
-  }
-}
-
 TEST(TensorTest, UniformWithinBounds) {
   Rng rng(1);
   Tensor t = Tensor::Uniform({100}, -2.0f, 3.0f, rng);

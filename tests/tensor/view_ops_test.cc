@@ -11,6 +11,7 @@
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "testing/all_close.h"
 #include "testing/gradcheck.h"
 #include "util/rng.h"
 

@@ -118,17 +118,6 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(shuffled, values);
 }
 
-TEST(RngTest, ForkIsIndependentOfParentContinuation) {
-  Rng parent(37);
-  Rng child = parent.Fork();
-  // Child stream should differ from the parent's continued stream.
-  int differing = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.Next() != child.Next()) ++differing;
-  }
-  EXPECT_GT(differing, 60);
-}
-
 TEST(RngTest, WeightedIndexRespectsWeights) {
   Rng rng(41);
   std::vector<double> weights = {0.0, 1.0, 3.0};

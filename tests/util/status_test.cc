@@ -1,7 +1,5 @@
 #include "util/status.h"
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 namespace tpgnn {
@@ -61,12 +59,6 @@ TEST(StatusTest, DataLoss) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kDataLoss);
   EXPECT_EQ(s.ToString(), "DATA_LOSS: bad frame magic");
-}
-
-TEST(StatusTest, StreamOperator) {
-  std::ostringstream os;
-  os << Status::InvalidArgument("x");
-  EXPECT_EQ(os.str(), "INVALID_ARGUMENT: x");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -18,6 +19,39 @@
 
 namespace tpgnn::workload {
 namespace {
+
+// Canonical byte serialization of one event, appended to *out. The
+// determinism tests compare streams through this, so any field the
+// generator controls participates.
+void AppendEventBytes(const serve::Event& event, std::string* out) {
+  auto put_u64 = [out](uint64_t v) {
+    char bytes[8];
+    std::memcpy(bytes, &v, sizeof(bytes));
+    out->append(bytes, sizeof(bytes));
+  };
+  auto put_f64 = [&put_u64](double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    put_u64(bits);
+  };
+  put_u64(static_cast<uint64_t>(event.kind));
+  put_u64(event.session_id);
+  put_f64(event.time);
+  put_u64(static_cast<uint64_t>(event.num_nodes));
+  put_u64(static_cast<uint64_t>(event.feature_dim));
+  for (const serve::NodeInit& f : event.features) {
+    put_u64(static_cast<uint64_t>(f.node));
+    for (float v : f.features) {
+      uint32_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      put_u64(bits);
+    }
+  }
+  put_u64(static_cast<uint64_t>(event.src));
+  put_u64(static_cast<uint64_t>(event.dst));
+  put_f64(event.edge_time);
+  put_u64(static_cast<uint64_t>(static_cast<int64_t>(event.label)));
+}
 
 // Pulls `count` events (or the whole stream if it is shorter) and returns
 // the canonical byte serialization.
