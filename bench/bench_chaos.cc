@@ -1,8 +1,9 @@
-// Chaos benchmark: replays an EventReplayer stream through an in-process
-// TCP server while a configurable failpoint mix fires, then verifies the
-// serving stack's fault invariants and records throughput under chaos to
-// BENCH_chaos.json. Exits nonzero on any invariant violation, which makes
-// it usable as a CI gate and under sanitizers:
+// Chaos benchmark: drives the PaperMixProfile stream through an in-process
+// TCP server (a net::ServerHarness) with the load driver while a
+// configurable failpoint mix fires, then verifies the serving stack's fault
+// invariants and records throughput under chaos to BENCH_chaos.json. Exits
+// nonzero on any invariant violation, which makes it usable as a CI gate
+// and under sanitizers:
 //
 //   * every score request produces exactly one result;
 //   * every OK result passes serve::ParityOracle, checked after the
@@ -20,8 +21,7 @@
 //
 // Flags: --seed=N        first failpoint seed (default 101)
 //        --seeds=N       number of consecutive seeds to run (default 3)
-//        --sessions=N    replayed sessions (default 8)
-//        --score_every=N mid-session score cadence in edges (default 4)
+//        --sessions=N    generated sessions (default 16)
 //        --faults=SPEC   TPGNN_FAILPOINTS-syntax override of the default mix
 //        --json=PATH     output (default BENCH_chaos.json)
 
@@ -30,29 +30,27 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench_host.h"
 #include "core/config.h"
-#include "data/datasets.h"
-#include "net/client.h"
-#include "net/server.h"
+#include "net/harness.h"
 #include "serve/inference_engine.h"
 #include "serve/parity_oracle.h"
-#include "serve/replay.h"
 #include "util/failpoint.h"
 #include "util/flags.h"
-#include "util/stopwatch.h"
+#include "workload/driver.h"
+#include "workload/generator.h"
+#include "workload/profiles.h"
 
 namespace core = tpgnn::core;
-namespace data = tpgnn::data;
 namespace failpoint = tpgnn::failpoint;
 namespace net = tpgnn::net;
 namespace serve = tpgnn::serve;
+namespace workload = tpgnn::workload;
 using tpgnn::FlagInt;
 using tpgnn::FlagValue;
 
@@ -74,7 +72,7 @@ core::TpGnnConfig SmallConfig() {
   config.embed_dim = 8;
   config.time_dim = 4;
   config.hidden_dim = 8;
-  // Serving formulation: replayed streams are chronological per session, so
+  // Serving formulation: generated streams are chronological per session, so
   // every state_refold must come from the shard.rescale forced fallback and
   // every max-time move a score absorbs must count as a state_rescale —
   // which is what makes both counters exactly attributable below.
@@ -123,11 +121,10 @@ struct SeedOutcome {
   std::vector<std::string> violations;
 };
 
-// One full chaos replay under `seed`. Appends human-readable invariant
+// One full chaos run under `seed`. Appends human-readable invariant
 // violations; an empty list means the run passed.
 SeedOutcome RunChaosSeed(uint64_t seed, const std::string& faults,
-                         const std::vector<serve::Event>& events,
-                         size_t num_score_requests,
+                         const workload::Stream& stream,
                          serve::ParityOracle& oracle,
                          const PrefixMaxTable& prefix_max) {
   SeedOutcome outcome;
@@ -144,41 +141,27 @@ SeedOutcome RunChaosSeed(uint64_t seed, const std::string& faults,
   server_options.max_inflight_scores = 1u << 20;
   server_options.port = 0;
 
-  serve::InferenceEngine engine(SmallConfig(), kModelSeed, engine_options);
-  net::Server server(&engine, server_options);
-  if (tpgnn::Status s = server.Start(); !s.ok()) {
-    violation("server start failed: " + s.ToString());
-    return outcome;
-  }
-  std::thread server_thread([&server] { server.Run(); });
+  net::ServerHarness server(SmallConfig(), kModelSeed, engine_options,
+                           server_options);
 
   failpoint::ResetCounters();
   failpoint::SetSeed(seed);
+  workload::LoadReport report;
   if (tpgnn::Status s = failpoint::InstallFromSpecString(faults); !s.ok()) {
     violation("bad --faults spec: " + s.ToString());
-  }
-
-  tpgnn::Stopwatch clock;
-  std::vector<serve::ScoreResult> results;
-  if (outcome.violations.empty()) {
-    net::ClientOptions client_options;
-    client_options.port = server.port();
-    net::Client client(client_options);
-    if (tpgnn::Status s = client.Connect(); !s.ok()) {
-      violation("connect failed: " + s.ToString());
-    } else if (tpgnn::Status s = client.IngestAll(events); !s.ok()) {
-      violation("ingest failed: " + s.ToString());
-    } else if (tpgnn::Status s = client.DrainResults(); !s.ok()) {
-      violation("drain failed: " + s.ToString());
+  } else {
+    report = workload::DriveWire(server.client_options(), stream.events);
+    if (report.errors > 0) {
+      violation("client failed: " + report.first_error);
     }
-    results = client.TakeResults();
   }
-  outcome.wall_seconds = clock.ElapsedSeconds();
+  outcome.wall_seconds = report.wall_seconds;
 
   // Disarm before reading counters so the accounting below is frozen.
   failpoint::ClearAll();
   outcome.total_fires = failpoint::TotalFires();
 
+  const std::vector<serve::ScoreResult>& results = report.results;
   for (const serve::ScoreResult& result : results) {
     if (!result.status.ok()) {
       ++outcome.scores_failed;
@@ -194,12 +177,14 @@ SeedOutcome RunChaosSeed(uint64_t seed, const std::string& faults,
       violation(s.ToString());
     }
   }
-  if (results.size() != num_score_requests) {
-    violation("expected " + std::to_string(num_score_requests) +
-              " results, got " + std::to_string(results.size()));
+  if (report.scores_acked != stream.scores ||
+      results.size() != stream.scores) {
+    violation("expected " + std::to_string(stream.scores) + " results, got " +
+              std::to_string(results.size()) + " for " +
+              std::to_string(report.scores_acked) + " acked requests");
   }
 
-  const serve::Metrics& metrics = engine.metrics();
+  const serve::Metrics& metrics = server.engine().metrics();
   const uint64_t expected_overloads =
       failpoint::FireCount("engine.score_enqueue") +
       failpoint::FireCount("shard.begin");
@@ -268,8 +253,7 @@ SeedOutcome RunChaosSeed(uint64_t seed, const std::string& faults,
               " != simulated " + std::to_string(expected_rescales));
   }
 
-  server.RequestShutdown();
-  server_thread.join();
+  server.Stop();
   failpoint::ResetCounters();
   return outcome;
 }
@@ -280,36 +264,32 @@ int main(int argc, char** argv) {
   const uint64_t first_seed =
       static_cast<uint64_t>(FlagInt(argc, argv, "seed", 101));
   const int64_t num_seeds = FlagInt(argc, argv, "seeds", 3);
-  const int64_t sessions = FlagInt(argc, argv, "sessions", 8);
-  const int64_t score_every = FlagInt(argc, argv, "score_every", 4);
+  const int64_t sessions = FlagInt(argc, argv, "sessions", 16);
   const std::string faults =
       FlagValue(argc, argv, "faults", kDefaultFaults);
   const std::string json_path =
       FlagValue(argc, argv, "json", "BENCH_chaos.json");
 
-  tpgnn::graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), sessions, /*seed=*/19);
-  serve::ReplayOptions replay_options;
-  replay_options.session_start_interval = 0.25;
-  replay_options.score_every_edges = score_every;
-  serve::EventReplayer replayer(dataset, replay_options);
+  workload::WorkloadOptions mix = workload::PaperMixProfile(/*seed=*/19);
+  mix.num_sessions = static_cast<uint64_t>(sessions);
+  const workload::Stream stream = workload::WorkloadGenerator::Draw(mix);
 
   failpoint::ClearAll();
   serve::ParityOracle oracle(SmallConfig(), kModelSeed);
-  oracle.Record(replayer.events());
-  const PrefixMaxTable prefix_max = BuildPrefixMax(replayer.events());
-  std::printf("chaos: %zu sessions, %zu events, %zu score requests, "
+  oracle.Record(stream.events);
+  const PrefixMaxTable prefix_max = BuildPrefixMax(stream.events);
+  std::printf("chaos: %llu sessions, %zu events, %llu score requests, "
               "faults=%s\n",
-              replayer.num_sessions(), replayer.events().size(),
-              replayer.num_score_requests(), faults.c_str());
+              static_cast<unsigned long long>(mix.num_sessions),
+              stream.events.size(),
+              static_cast<unsigned long long>(stream.scores), faults.c_str());
 
   std::vector<SeedOutcome> outcomes;
   size_t total_violations = 0;
   for (int64_t i = 0; i < num_seeds; ++i) {
     SeedOutcome outcome =
-        RunChaosSeed(first_seed + static_cast<uint64_t>(i), faults,
-                     replayer.events(), replayer.num_score_requests(), oracle,
-                     prefix_max);
+        RunChaosSeed(first_seed + static_cast<uint64_t>(i), faults, stream,
+                     oracle, prefix_max);
     std::printf("  seed %llu: %llu fires, %llu ok / %llu failed scores, "
                 "%.3fs — %s\n",
                 static_cast<unsigned long long>(outcome.seed),
@@ -327,9 +307,10 @@ int main(int argc, char** argv) {
 
   std::ostringstream out;
   out << "{\"bench\": \"chaos\", \"faults\": \"" << faults << "\""
-      << ", \"sessions\": " << replayer.num_sessions()
-      << ", \"events\": " << replayer.events().size()
-      << ", \"score_requests\": " << replayer.num_score_requests()
+      << ", \"sessions\": " << mix.num_sessions
+      << ", \"events\": " << stream.events.size()
+      << ", \"score_requests\": " << stream.scores << ", "
+      << tpgnn::bench::HostJsonFields()
       << ", \"violations\": " << total_violations << ", \"runs\": [";
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const SeedOutcome& o = outcomes[i];

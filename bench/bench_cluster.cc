@@ -1,8 +1,9 @@
-// Cluster scaling and chaos benchmark: bench_net's load generator pointed
-// at a self-contained cluster — N in-process backend servers behind an
-// in-process Router — swept over cluster sizes, with an optional mid-run
-// backend kill/restart. Writes BENCH_cluster.json with per-size throughput
-// and the scaling efficiency vs a single backend.
+// Cluster scaling and chaos benchmark: the PaperMixProfile stream, driven
+// by workload::DriveWire (bench_net's load driver) at a self-contained
+// cluster — N in-process net::ServerHarness backends behind an in-process
+// Router — swept over cluster sizes, with an optional mid-run backend
+// kill/restart. Writes BENCH_cluster.json with per-size throughput and the
+// scaling efficiency vs a single backend.
 //
 // Every run double-checks the cluster's core contracts and exits nonzero
 // on a violation, so this is also the CI cluster smoke gate:
@@ -17,46 +18,39 @@
 //     failover (backend_failovers >= 1) and recover the rejoined backend.
 //
 // Flags: --cluster_sizes=1,2,4  cluster sizes to sweep (default "1,2,4")
-//        --sessions=N           replayed sessions per run (default 48)
-//        --score_every=N        mid-session score cadence (default 8)
+//        --sessions=N           generated sessions per run (default 60)
 //        --connections=N        client connections/threads (default 4)
 //        --batch=N              events per INGEST_BATCH (default 48)
 //        --kill_backend=0|1     kill+restart a backend mid-run at the
 //                               largest swept size (default 0)
 //        --json=PATH            output (default BENCH_cluster.json)
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "cluster/ring.h"
+#include "bench_host.h"
 #include "cluster/router.h"
 #include "core/model.h"
-#include "data/datasets.h"
-#include "net/client.h"
-#include "net/server.h"
-#include "serve/inference_engine.h"
+#include "net/harness.h"
 #include "serve/parity_oracle.h"
-#include "serve/replay.h"
 #include "util/flags.h"
-#include "util/stopwatch.h"
+#include "workload/driver.h"
+#include "workload/generator.h"
+#include "workload/profiles.h"
 
 namespace cluster = tpgnn::cluster;
 namespace core = tpgnn::core;
-namespace data = tpgnn::data;
 namespace net = tpgnn::net;
 namespace serve = tpgnn::serve;
+namespace workload = tpgnn::workload;
 using tpgnn::FlagInt;
 using tpgnn::FlagValue;
 
@@ -84,173 +78,38 @@ std::vector<int> ParseSizes(const std::string& csv) {
   return sizes;
 }
 
-// One in-process backend: engine + server + poll thread, restartable on a
-// fixed port (the "supervisor brings the process back" half of chaos).
-class Backend {
- public:
-  explicit Backend(int port) : engine_(BenchConfig(), kModelSeed, {}) {
-    net::ServerOptions options;
-    options.port = port;
-    for (int attempt = 0; attempt < 50 && server_ == nullptr; ++attempt) {
-      auto server = std::make_unique<net::Server>(&engine_, options);
-      if (server->Start().ok()) {
-        server_ = std::move(server);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    if (server_ == nullptr) {
-      std::fprintf(stderr, "backend start failed (port %d)\n", port);
-      std::exit(1);
-    }
-    thread_ = std::thread([this] { server_->Run(); });
-  }
-
-  ~Backend() { Stop(); }
-
-  void Stop() {
-    if (thread_.joinable()) {
-      server_->RequestShutdown();
-      thread_.join();
-    }
-  }
-
-  // SIGKILL stand-in: hard-stop with no GOODBYE and no drain.
-  void Kill() { server_->Abort(); }
-
-  int port() const { return server_->port(); }
-
- private:
-  serve::InferenceEngine engine_;
-  std::unique_ptr<net::Server> server_;
-  std::thread thread_;
-};
-
-struct SharedStats {
-  std::atomic<uint64_t> events_sent{0};
-  std::atomic<uint64_t> scores_sent{0};  // Scores in ACKED prefixes.
-  std::atomic<uint64_t> scores_ok{0};
-  std::atomic<uint64_t> scores_failed{0};
-  std::atomic<uint64_t> overloads{0};
-  std::atomic<uint64_t> errors{0};
-  std::mutex mu;
-  std::vector<serve::ScoreResult> scored;  // Successful results; guarded by mu.
-};
-
-size_t CountScores(const std::vector<serve::Event>& events, size_t limit) {
-  size_t scores = 0;
-  for (size_t i = 0; i < limit && i < events.size(); ++i) {
-    if (events[i].kind == serve::Event::Kind::kScore) {
-      ++scores;
-    }
-  }
-  return scores;
-}
-
-// One connection's traffic through the router: batched frames, overload
-// retries, applied-prefix score accounting (bench_net's contract — only a
-// score the server acked as applied owes us a result).
-void RunConnection(const net::ClientOptions& options,
-                   const std::vector<serve::Event>& events, size_t batch_size,
-                   SharedStats* stats) {
-  net::Client client(options);
-  if (tpgnn::Status s = client.Connect(); !s.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n", s.ToString().c_str());
-    stats->errors.fetch_add(1);
-    return;
-  }
-
-  auto collect = [&]() {
-    for (const serve::ScoreResult& result : client.TakeResults()) {
-      if (result.status.ok()) {
-        stats->scores_ok.fetch_add(1);
-        std::lock_guard<std::mutex> lock(stats->mu);
-        stats->scored.push_back(result);
-      } else {
-        stats->scores_failed.fetch_add(1);
-      }
-    }
-  };
-
-  size_t pos = 0;
-  int stalls = 0;
-  while (pos < events.size()) {
-    const size_t take = std::min(batch_size, events.size() - pos);
-    const std::vector<serve::Event> slice(
-        events.begin() + static_cast<ptrdiff_t>(pos),
-        events.begin() + static_cast<ptrdiff_t>(pos + take));
-    uint64_t applied = 0;
-    tpgnn::Status st = client.IngestBatch(slice, &applied);
-    stats->events_sent.fetch_add(applied);
-    stats->scores_sent.fetch_add(
-        CountScores(slice, static_cast<size_t>(applied)));
-    pos += static_cast<size_t>(applied);
-    if (st.ok()) {
-      collect();
-      stalls = 0;
-      continue;
-    }
-    if (st.code() == tpgnn::StatusCode::kOverloaded) {
-      stats->overloads.fetch_add(1);
-      if (client.inflight_scores() > 0) {
-        if (tpgnn::Status d = client.DrainResults(); !d.ok()) {
-          std::fprintf(stderr, "drain failed: %s\n", d.ToString().c_str());
-          stats->errors.fetch_add(1);
-          return;
-        }
-      }
-      collect();
-      if (applied == 0) {
-        // Ring momentarily empty (mid-failover): back off instead of
-        // hammering the router's shed path.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      stalls = applied > 0 ? 0 : stalls + 1;
-      if (stalls > 600) {
-        std::fprintf(stderr, "stuck in overload, giving up\n");
-        stats->errors.fetch_add(1);
-        return;
-      }
-      continue;
-    }
-    std::fprintf(stderr, "ingest failed: %s\n", st.ToString().c_str());
-    stats->errors.fetch_add(1);
-    return;
-  }
-  if (tpgnn::Status s = client.DrainResults(); !s.ok()) {
-    std::fprintf(stderr, "final drain failed: %s\n", s.ToString().c_str());
-    stats->errors.fetch_add(1);
-  }
-  collect();
+// A backend on `port` (0 = ephemeral); a restart passes the dead one's
+// port, the "supervisor brings the process back" half of chaos.
+std::unique_ptr<net::ServerHarness> StartBackend(int port) {
+  net::ServerOptions options;
+  options.port = port;
+  return std::make_unique<net::ServerHarness>(BenchConfig(), kModelSeed,
+                                              serve::EngineOptions{}, options);
 }
 
 struct RunResult {
   int backends = 0;
-  double wall_seconds = 0.0;
-  uint64_t events = 0;
-  uint64_t scores_sent = 0;
-  uint64_t scores_ok = 0;
-  uint64_t scores_failed = 0;
-  uint64_t overloads = 0;
-  uint64_t errors = 0;
-  size_t parity_mismatches = 0;
   bool killed = false;
+  workload::LoadReport report;
+  size_t parity_mismatches = 0;
   cluster::ClusterCounters counters;
 };
 
-// Runs the full event stream through an N-backend cluster; with `kill`,
-// hard-kills the busiest backend mid-run and restarts it on the same port.
+// Drives the full stream through an N-backend cluster; with `kill`,
+// hard-kills the busiest backend once half the stream has reached the
+// backends and restarts it on the same port.
 RunResult RunCluster(int num_backends, bool kill,
-                     const std::vector<std::vector<serve::Event>>& per_conn,
-                     size_t batch, serve::ParityOracle& oracle) {
+                     const std::vector<serve::Event>& events,
+                     size_t connections, size_t batch,
+                     serve::ParityOracle& oracle) {
   RunResult out;
   out.backends = num_backends;
   out.killed = kill;
 
-  std::vector<std::unique_ptr<Backend>> backends;
+  std::vector<std::unique_ptr<net::ServerHarness>> backends;
   std::vector<cluster::BackendConfig> configs;
   for (int i = 0; i < num_backends; ++i) {
-    backends.push_back(std::make_unique<Backend>(/*port=*/0));
+    backends.push_back(StartBackend(/*port=*/0));
     configs.push_back({"b" + std::to_string(i), "127.0.0.1",
                        backends.back()->port()});
   }
@@ -271,88 +130,65 @@ RunResult RunCluster(int num_backends, bool kill,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  net::ClientOptions client_options;
-  client_options.port = router.port();
-
-  uint64_t total_events = 0;
-  for (const auto& events : per_conn) {
-    total_events += events.size();
-  }
-
-  SharedStats stats;
-  std::atomic<bool> workers_done{false};
-  tpgnn::Stopwatch clock;
-  std::vector<std::thread> workers;
-  workers.reserve(per_conn.size());
-  for (const auto& events : per_conn) {
-    workers.emplace_back(RunConnection, client_options, std::cref(events),
-                         batch, &stats);
-  }
-
+  std::atomic<bool> driven{false};
   std::thread killer;
   if (kill) {
     killer = std::thread([&] {
-      // Wait until the stream is mid-flight, then kill the backend that
-      // owns the most sessions and bring it back on the same port.
-      while (stats.events_sent.load() < total_events / 2 &&
-             stats.errors.load() == 0 && !workers_done.load()) {
+      // Wait until the stream is mid-flight (the backends' engines have
+      // ingested half of it), then kill the backend that has begun the
+      // most sessions and bring it back on the same port.
+      auto metrics = [&](size_t i) -> const serve::Metrics& {
+        return backends[i]->engine().metrics();
+      };
+      uint64_t ingested = 0;
+      while (ingested < events.size() / 2 && !driven.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      if (stats.errors.load() != 0 || workers_done.load()) {
-        return;  // The run is already over (or broken); nothing to kill.
-      }
-      cluster::HashRing ring(options.vnodes_per_backend);
-      for (const auto& config : configs) {
-        ring.AddBackend(config.name);
-      }
-      std::vector<size_t> owned(static_cast<size_t>(num_backends), 0);
-      for (const auto& events : per_conn) {
-        for (const serve::Event& event : events) {
-          if (event.kind == serve::Event::Kind::kBegin) {
-            const std::string* owner = ring.OwnerOf(event.session_id);
-            for (int i = 0; i < num_backends; ++i) {
-              if (*owner == configs[static_cast<size_t>(i)].name) {
-                ++owned[static_cast<size_t>(i)];
-              }
-            }
-          }
+        ingested = 0;
+        for (size_t i = 0; i < backends.size(); ++i) {
+          ingested += metrics(i).events_ingested.load();
         }
       }
-      const size_t victim = static_cast<size_t>(std::distance(
-          owned.begin(), std::max_element(owned.begin(), owned.end())));
+      if (driven.load()) {
+        return;  // The run is already over (or broken); nothing to kill.
+      }
+      size_t victim = 0;
+      for (size_t i = 1; i < backends.size(); ++i) {
+        if (metrics(i).sessions_begun.load() >
+            metrics(victim).sessions_begun.load()) {
+          victim = i;
+        }
+      }
       const int port = backends[victim]->port();
-      std::printf("chaos: killing backend %s (%zu sessions)\n",
-                  configs[victim].name.c_str(), owned[victim]);
-      backends[victim]->Kill();
+      std::printf("chaos: killing backend %s (%llu sessions begun)\n",
+                  configs[victim].name.c_str(),
+                  static_cast<unsigned long long>(
+                      metrics(victim).sessions_begun.load()));
+      backends[victim]->server().Abort();
       std::this_thread::sleep_for(std::chrono::milliseconds(500));
-      backends[victim] = std::make_unique<Backend>(port);
+      backends[victim] = StartBackend(port);
       std::printf("chaos: backend restarted on port %d\n", port);
     });
   }
 
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  workers_done.store(true);
+  net::ClientOptions client_options;
+  client_options.port = router.port();
+  client_options.max_events_per_batch = batch;
+  out.report = workload::DriveWire(client_options, events, connections);
+  driven.store(true);
   if (killer.joinable()) {
     killer.join();
   }
-  out.wall_seconds = clock.ElapsedSeconds();
 
   router.RequestShutdown();
   router_thread.join();
   out.counters = router.counters();  // Safe: poll thread has exited.
 
-  out.events = stats.events_sent.load();
-  out.scores_sent = stats.scores_sent.load();
-  out.scores_ok = stats.scores_ok.load();
-  out.scores_failed = stats.scores_failed.load();
-  out.overloads = stats.overloads.load();
-  out.errors = stats.errors.load();
-
   // Bitwise parity: every successful score must pass the oracle. Checked
   // after the run, so the offline forwards stay out of the measured wall.
-  for (const serve::ScoreResult& result : stats.scored) {
+  for (const serve::ScoreResult& result : out.report.results) {
+    if (!result.status.ok()) {
+      continue;
+    }
     if (const tpgnn::Status s = oracle.Check(result); !s.ok()) {
       if (out.parity_mismatches == 0) {
         std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -368,8 +204,7 @@ RunResult RunCluster(int num_backends, bool kill,
 int main(int argc, char** argv) {
   const std::vector<int> sizes =
       ParseSizes(FlagValue(argc, argv, "cluster_sizes", "1,2,4"));
-  const int64_t sessions = FlagInt(argc, argv, "sessions", 48);
-  const int64_t score_every = FlagInt(argc, argv, "score_every", 8);
+  const int64_t sessions = FlagInt(argc, argv, "sessions", 60);
   const int64_t connections = FlagInt(argc, argv, "connections", 4);
   const int64_t batch = FlagInt(argc, argv, "batch", 48);
   const bool kill_backend = FlagInt(argc, argv, "kill_backend", 0) != 0;
@@ -380,70 +215,61 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  tpgnn::graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), sessions, /*seed=*/17);
-  serve::ReplayOptions replay_options;
-  replay_options.session_start_interval = 0.25;
-  replay_options.score_every_edges = score_every;
-  serve::EventReplayer replayer(dataset, replay_options);
+  workload::WorkloadOptions mix = workload::PaperMixProfile(/*seed=*/17);
+  mix.num_sessions = static_cast<uint64_t>(sessions);
+  const workload::Stream stream = workload::WorkloadGenerator::Draw(mix);
 
   serve::ParityOracle oracle(BenchConfig(), kModelSeed);
-  oracle.Record(replayer.events());
-
-  // Session affinity: all events of a session ride one connection.
-  std::vector<std::vector<serve::Event>> per_conn(
-      static_cast<size_t>(connections));
-  for (const serve::Event& event : replayer.events()) {
-    per_conn[event.session_id % static_cast<uint64_t>(connections)].push_back(
-        event);
-  }
-  std::printf("cluster sweep over %zu sizes: %zu sessions, %zu events, "
-              "%zu score requests, %lld connections (%u cores)\n",
-              sizes.size(), replayer.num_sessions(), replayer.events().size(),
-              replayer.num_score_requests(),
+  oracle.Record(stream.events);
+  std::printf("cluster sweep over %zu sizes: %llu sessions, %zu events, "
+              "%llu score requests, %lld connections (%u cores)\n",
+              sizes.size(), static_cast<unsigned long long>(mix.num_sessions),
+              stream.events.size(),
+              static_cast<unsigned long long>(stream.scores),
               static_cast<long long>(connections),
               std::thread::hardware_concurrency());
 
   std::vector<RunResult> runs;
   for (size_t i = 0; i < sizes.size(); ++i) {
     const bool kill = kill_backend && i + 1 == sizes.size() && sizes[i] > 1;
-    runs.push_back(RunCluster(sizes[i], kill, per_conn,
+    runs.push_back(RunCluster(sizes[i], kill, stream.events,
+                              static_cast<size_t>(connections),
                               static_cast<size_t>(batch), oracle));
     const RunResult& r = runs.back();
-    std::printf("backends=%d%s  %8.0f events/s  scores %llu ok / %llu "
+    std::printf("backends=%d%s  %8.0f events/s  scores %zu ok / %zu "
                 "failed  overloads %llu  failovers %llu\n",
                 r.backends, r.killed ? " (chaos)" : "",
-                r.events / r.wall_seconds,
-                static_cast<unsigned long long>(r.scores_ok),
-                static_cast<unsigned long long>(r.scores_failed),
-                static_cast<unsigned long long>(r.overloads),
+                r.report.events_per_second(), r.report.scores_ok(),
+                r.report.results.size() - r.report.scores_ok(),
+                static_cast<unsigned long long>(r.report.overloads),
                 static_cast<unsigned long long>(r.counters.backend_failovers));
   }
 
   // A list of entries keyed by bench+variant, the shape
   // bench/check_bench.py gates (like BENCH_alloc.json's variants).
-  const double base_throughput = runs[0].events / runs[0].wall_seconds;
+  const double base_throughput = runs[0].report.events_per_second();
   std::ostringstream out;
   out << "[";
   for (size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
-    const double throughput = r.events / r.wall_seconds;
+    const double throughput = r.report.events_per_second();
+    const size_t scores_ok = r.report.scores_ok();
     if (i > 0) out << ",\n ";
     out << "{\"bench\": \"cluster\", \"variant\": \"backends=" << r.backends
         << (r.killed ? "_chaos" : "") << "\""
         << ", \"backends\": " << r.backends
-        << ", \"chaos\": " << (r.killed ? "true" : "false")
-        << ", \"cores\": " << std::thread::hardware_concurrency()
-        << ", \"sessions\": " << replayer.num_sessions()
+        << ", \"chaos\": " << (r.killed ? "true" : "false") << ", "
+        << tpgnn::bench::HostJsonFields()
+        << ", \"sessions\": " << mix.num_sessions
         << ", \"connections\": " << connections
-        << ", \"wall_seconds\": " << r.wall_seconds
+        << ", \"wall_seconds\": " << r.report.wall_seconds
         << ", \"events_per_second\": " << throughput
         << ", \"speedup_vs_1\": " << throughput / base_throughput
         << ", \"scaling_efficiency\": "
         << throughput / (base_throughput * r.backends)
-        << ", \"scores_ok\": " << r.scores_ok
-        << ", \"scores_failed\": " << r.scores_failed
-        << ", \"overloads\": " << r.overloads
+        << ", \"scores_ok\": " << scores_ok
+        << ", \"scores_failed\": " << r.report.results.size() - scores_ok
+        << ", \"overloads\": " << r.report.overloads
         << ", \"parity_mismatches\": " << r.parity_mismatches
         << ", \"backend_failovers\": " << r.counters.backend_failovers
         << ", \"sessions_replayed\": " << r.counters.sessions_replayed
@@ -464,25 +290,28 @@ int main(int argc, char** argv) {
   // --- Smoke gates: any violation fails the binary -----------------------
   int failures = 0;
   for (const RunResult& r : runs) {
-    if (r.errors > 0) {
-      std::fprintf(stderr, "FAIL backends=%d: %llu connection errors\n",
-                   r.backends, static_cast<unsigned long long>(r.errors));
+    const size_t scores_ok = r.report.scores_ok();
+    const size_t scores_failed = r.report.results.size() - scores_ok;
+    if (r.report.errors > 0) {
+      std::fprintf(stderr,
+                   "FAIL backends=%d: %llu connection errors, first: %s\n",
+                   r.backends, static_cast<unsigned long long>(r.report.errors),
+                   r.report.first_error.c_str());
       ++failures;
     }
-    if (r.scores_ok == 0) {
+    if (scores_ok == 0) {
       std::fprintf(stderr, "FAIL backends=%d: no session was scored\n",
                    r.backends);
       ++failures;
     }
     // Exactly-once: every acked score resolved, once.
-    if (r.scores_ok + r.scores_failed != r.scores_sent) {
+    if (r.report.results.size() != r.report.scores_acked) {
       std::fprintf(stderr,
                    "FAIL backends=%d: exactly-once violated (%llu acked, "
-                   "%llu resolved)\n",
+                   "%zu resolved)\n",
                    r.backends,
-                   static_cast<unsigned long long>(r.scores_sent),
-                   static_cast<unsigned long long>(r.scores_ok +
-                                                   r.scores_failed));
+                   static_cast<unsigned long long>(r.report.scores_acked),
+                   r.report.results.size());
       ++failures;
     }
     if (r.parity_mismatches > 0) {
@@ -490,11 +319,10 @@ int main(int argc, char** argv) {
                    r.backends, r.parity_mismatches);
       ++failures;
     }
-    if (!r.killed && r.scores_failed > 0) {
+    if (!r.killed && scores_failed > 0) {
       std::fprintf(stderr,
-                   "FAIL backends=%d: %llu scores failed without chaos\n",
-                   r.backends,
-                   static_cast<unsigned long long>(r.scores_failed));
+                   "FAIL backends=%d: %zu scores failed without chaos\n",
+                   r.backends, scores_failed);
       ++failures;
     }
     if (r.killed && r.counters.backend_failovers == 0) {

@@ -1,246 +1,130 @@
-// Network load generator: drives a live serve_server over real TCP sockets
-// with multi-connection replayed traffic and records client-observed
-// throughput, latency quantiles, and the overload (backpressure) rate to
-// BENCH_net.json, alongside the server's own metrics fetched over the
-// METRICS RPC.
+// Network load generator: drives a live serve_server (or a serve_router,
+// which speaks the same protocol) over real TCP sockets with the
+// PaperMixProfile stream through the load driver, and records
+// client-observed throughput, latency quantiles and the overload
+// (backpressure) rate to BENCH_net.json, alongside the server's own
+// metrics fetched over the METRICS RPC.
 //
 //   $ ./build/examples/serve_server --port=7471 &
 //   $ ./build/bench/bench_net --port=7471 --shutdown=1
 //
-// Sessions are partitioned across connections by session id (the protocol's
-// session-affinity contract: all events of a session ride one connection,
-// in order). Each connection ships batched event frames, pipelines score
-// requests, honours OVERLOADED backpressure by draining results before
-// resending the shed tail, and measures:
-//   * ingest latency — send of an INGEST_BATCH to its ack (one RTT + server
-//     dispatch),
-//   * score latency — send of the batch carrying a Score to arrival of its
-//     SCORE_RESULT (queueing + micro-batching + scoring + return trip).
+// workload::DriveWire splits sessions across connections by session id
+// (the protocol's session-affinity contract: all events of a session ride
+// one connection, in order). Each connection ships --batch events per
+// frame, absorbs OVERLOADED backpressure in net::Client::IngestAll, and
+// measures:
+//   * ingest latency — a batch sent to its ack (one RTT + server dispatch,
+//     plus any overload retries),
+//   * score latency — the batch carrying a Score sent to its SCORE_RESULT
+//     collected (queueing + micro-batching + scoring + return trip).
 //
 // Flags: --host=A --port=N    server address (port required)
 //        --connections=N      client connections/threads (default 4)
-//        --sessions=N         replayed sessions (default 60)
-//        --score_every=N      mid-session score cadence in edges (default 8)
+//        --sessions=N         generated sessions (default 80)
 //        --batch=N            events per INGEST_BATCH frame (default 64)
 //        --json=PATH          output (default BENCH_net.json)
 //        --shutdown=0|1       send SHUTDOWN when done (default 0)
-//        --parity_sample=N    sessions re-replayed for parity (default 5)
-// Exits nonzero when no session was scored, when the parity sample check
-// could not run, when any re-replayed score differs bitwise from the load
-// phase, when the server's METRICS payload does not parse, or when it
-// reports protocol errors (CI smoke contract).
+//        --parity_sample=N    sessions re-driven for parity (default 5)
+// Exits nonzero on a failed connect, ingest or drain, when no session was
+// scored, when the parity sample check could not run, when any re-driven
+// score differs bitwise from the load phase, when the server's METRICS
+// payload does not parse, or when it reports protocol errors (CI smoke
+// contract). The server's protocol_errors is also written at the top level
+// of the JSON, where bench/trajectory.json's zero gate reads it.
 
-#include <atomic>
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <map>
-#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "data/datasets.h"
+#include "bench_host.h"
 #include "net/client.h"
 #include "serve/metrics.h"
-#include "serve/replay.h"
 #include "util/flags.h"
-#include "util/stopwatch.h"
+#include "workload/driver.h"
+#include "workload/generator.h"
+#include "workload/profiles.h"
 
-namespace data = tpgnn::data;
 namespace net = tpgnn::net;
 namespace serve = tpgnn::serve;
+namespace workload = tpgnn::workload;
 using tpgnn::FlagInt;
 using tpgnn::FlagValue;
 
 namespace {
 
 // (session_id, edges_scored) -> logit from the load phase; scoring is a
-// pure function of the session's event prefix, so a re-replay of the same
+// pure function of the session's event prefix, so a re-drive of the same
 // session must reproduce these bits exactly.
 using ScoreTable = std::map<std::pair<uint64_t, int64_t>, float>;
 
-struct SharedStats {
-  serve::LatencyHistogram ingest_latency;  // Batch send -> ack, µs.
-  serve::LatencyHistogram score_latency;   // Batch send -> result, µs.
-  std::atomic<uint64_t> events_sent{0};
-  std::atomic<uint64_t> batches{0};
-  std::atomic<uint64_t> overloads{0};
-  std::atomic<uint64_t> scores_ok{0};
-  std::atomic<uint64_t> scores_failed{0};
-  std::atomic<uint64_t> errors{0};
-  std::mutex mu;
-  ScoreTable scores;  // Guarded by mu.
-};
-
-size_t CountScores(const std::vector<serve::Event>& events, size_t limit) {
-  size_t scores = 0;
-  for (size_t i = 0; i < limit && i < events.size(); ++i) {
-    if (events[i].kind == serve::Event::Kind::kScore) {
-      ++scores;
-    }
-  }
-  return scores;
-}
-
-// One connection's worth of traffic: batched frames with overload retries,
-// FIFO timestamp matching for per-score latency.
-void RunConnection(const net::ClientOptions& options,
-                   const std::vector<serve::Event>& events, size_t batch_size,
-                   const tpgnn::Stopwatch& clock, SharedStats* stats) {
-  net::Client client(options);
-  if (tpgnn::Status s = client.Connect(); !s.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n", s.ToString().c_str());
-    stats->errors.fetch_add(1);
-    return;
-  }
-  std::deque<double> score_sent_micros;  // FIFO, matches result order.
-
-  auto collect = [&]() {
-    const double now = clock.ElapsedMicros();
-    for (const serve::ScoreResult& result : client.TakeResults()) {
-      if (!score_sent_micros.empty()) {
-        stats->score_latency.Record(now - score_sent_micros.front());
-        score_sent_micros.pop_front();
-      }
-      if (result.status.ok()) {
-        stats->scores_ok.fetch_add(1);
-        std::lock_guard<std::mutex> lock(stats->mu);
-        stats->scores[{result.session_id, result.edges_scored}] = result.logit;
-      } else {
-        stats->scores_failed.fetch_add(1);
-      }
-    }
-  };
-
-  size_t pos = 0;
-  int stalls = 0;
-  while (pos < events.size()) {
-    const size_t take = std::min(batch_size, events.size() - pos);
-    const std::vector<serve::Event> slice(
-        events.begin() + static_cast<ptrdiff_t>(pos),
-        events.begin() + static_cast<ptrdiff_t>(pos + take));
-    const double sent_micros = clock.ElapsedMicros();
-    uint64_t applied = 0;
-    tpgnn::Status st = client.IngestBatch(slice, &applied);
-    stats->batches.fetch_add(1);
-    stats->events_sent.fetch_add(applied);
-    const size_t applied_scores =
-        CountScores(slice, static_cast<size_t>(applied));
-    for (size_t i = 0; i < applied_scores; ++i) {
-      score_sent_micros.push_back(sent_micros);
-    }
-    pos += static_cast<size_t>(applied);
-    if (st.ok()) {
-      stats->ingest_latency.Record(clock.ElapsedMicros() - sent_micros);
-      collect();
-      stalls = 0;
-      continue;
-    }
-    if (st.code() == tpgnn::StatusCode::kOverloaded) {
-      stats->overloads.fetch_add(1);
-      if (client.inflight_scores() > 0) {
-        if (tpgnn::Status d = client.DrainResults(); !d.ok()) {
-          std::fprintf(stderr, "drain failed: %s\n", d.ToString().c_str());
-          stats->errors.fetch_add(1);
-          return;
-        }
-      }
-      collect();
-      stalls = applied > 0 ? 0 : stalls + 1;
-      if (stalls > 200) {
-        std::fprintf(stderr, "stuck in overload, giving up\n");
-        stats->errors.fetch_add(1);
-        return;
-      }
-      continue;
-    }
-    std::fprintf(stderr, "ingest failed: %s\n", st.ToString().c_str());
-    stats->errors.fetch_add(1);
-    return;
-  }
-  if (tpgnn::Status s = client.DrainResults(); !s.ok()) {
-    std::fprintf(stderr, "final drain failed: %s\n", s.ToString().c_str());
-    stats->errors.fetch_add(1);
-  }
-  collect();
-}
-
-// Parity sample check: re-replays up to `sample` sessions that produced OK
-// scores during the load phase and demands bit-identical logits the second
-// time around (scoring is a pure function of the session's event prefix).
-// Returns false when the check could not run at all — the caller must treat
-// that as a failure, not a pass.
-bool ReplaySessionsForParity(const net::ClientOptions& options,
-                             const std::vector<serve::Event>& all_events,
-                             const ScoreTable& reference, size_t sample,
-                             size_t* sessions_checked, size_t* scores_compared,
-                             size_t* mismatches) {
+// Parity sample check: re-drives up to `sample` sessions that ended in the
+// stream and produced OK scores during the load phase, over one fresh
+// connection, and demands bit-identical logits the second time around.
+// The picked sessions ship whole and back to back in one frame (a router
+// forwards each same-backend run of it as one frame), so every edge of a
+// session is in before the server scores any of its requests: each
+// re-driven score must land at the session's full prefix, which the load
+// phase scored too (the generator ends every session with a Score after
+// its last edge). A re-driven score at any other prefix, or with no
+// load-phase reference, is a mismatch. Returns false when the check could
+// not run at all — the caller must treat that as a failure, not a pass.
+bool RedriveSessionsForParity(const net::ClientOptions& options,
+                              const std::vector<serve::Event>& all_events,
+                              const ScoreTable& reference, size_t sample,
+                              size_t* sessions_checked,
+                              size_t* scores_compared, size_t* mismatches) {
   *sessions_checked = 0;
   *scores_compared = 0;
   *mismatches = 0;
-  std::vector<uint64_t> picked;  // The table is sorted by session id.
-  for (const auto& [key, logit] : reference) {
-    (void)logit;
-    if (picked.empty() || picked.back() != key.first) {
-      picked.push_back(key.first);
-      if (picked.size() >= sample) {
-        break;
-      }
+  // A session that never ended is still open on the server, so a second
+  // Begin would be refused; only ended sessions are re-driven.
+  std::set<uint64_t> ended;
+  for (const serve::Event& event : all_events) {
+    if (event.kind == serve::Event::Kind::kEnd) {
+      ended.insert(event.session_id);
     }
   }
-  if (picked.empty()) {
+  // Picked session -> its edge count. The table is sorted by session id.
+  std::map<uint64_t, int64_t> full_prefix;
+  for (const auto& [key, logit] : reference) {
+    (void)logit;
+    if (full_prefix.size() < sample && ended.count(key.first) > 0) {
+      full_prefix.emplace(key.first, 0);
+    }
+  }
+  if (full_prefix.empty()) {
     return false;
   }
-  net::Client client(options);
-  if (tpgnn::Status s = client.Connect(); !s.ok()) {
-    std::fprintf(stderr, "parity connect failed: %s\n", s.ToString().c_str());
-    return false;
-  }
-  for (uint64_t session_id : picked) {
-    std::vector<serve::Event> events;
+  std::vector<serve::Event> events;
+  for (auto& [session_id, edges] : full_prefix) {
     for (const serve::Event& event : all_events) {
       if (event.session_id == session_id) {
         events.push_back(event);
+        edges += event.kind == serve::Event::Kind::kEdge ? 1 : 0;
       }
     }
-    size_t pos = 0;
-    int stalls = 0;
-    while (pos < events.size()) {
-      const std::vector<serve::Event> slice(
-          events.begin() + static_cast<ptrdiff_t>(pos), events.end());
-      uint64_t applied = 0;
-      tpgnn::Status st = client.IngestBatch(slice, &applied);
-      pos += static_cast<size_t>(applied);
-      if (st.ok()) {
-        stalls = 0;
-        continue;
-      }
-      if (st.code() != tpgnn::StatusCode::kOverloaded || ++stalls > 200) {
-        std::fprintf(stderr, "parity replay failed: %s\n",
-                     st.ToString().c_str());
-        return false;
-      }
-      if (tpgnn::Status d = client.DrainResults(); !d.ok()) {
-        return false;
-      }
-    }
-    ++*sessions_checked;
   }
-  if (tpgnn::Status s = client.DrainResults(); !s.ok()) {
-    std::fprintf(stderr, "parity drain failed: %s\n", s.ToString().c_str());
+  net::ClientOptions one_frame = options;
+  one_frame.max_events_per_batch = events.size();
+  const workload::LoadReport report = workload::DriveWire(one_frame, events);
+  if (report.errors > 0) {
+    std::fprintf(stderr, "parity re-drive failed: %s\n",
+                 report.first_error.c_str());
     return false;
   }
-  for (const serve::ScoreResult& result : client.TakeResults()) {
+  *sessions_checked = full_prefix.size();
+  for (const serve::ScoreResult& result : report.results) {
     ++*scores_compared;
-    if (!result.status.ok()) {
-      ++*mismatches;
-      continue;
-    }
-    auto it = reference.find({result.session_id, result.edges_scored});
-    if (it == reference.end() || it->second != result.logit) {
+    const auto full = full_prefix.find(result.session_id);
+    const auto it = reference.find({result.session_id, result.edges_scored});
+    if (!result.status.ok() || full == full_prefix.end() ||
+        result.edges_scored != full->second || it == reference.end() ||
+        it->second != result.logit) {
       ++*mismatches;
     }
   }
@@ -253,8 +137,7 @@ int main(int argc, char** argv) {
   const std::string host = FlagValue(argc, argv, "host", "127.0.0.1");
   const int64_t port = FlagInt(argc, argv, "port", 0);
   const int64_t connections = FlagInt(argc, argv, "connections", 4);
-  const int64_t sessions = FlagInt(argc, argv, "sessions", 60);
-  const int64_t score_every = FlagInt(argc, argv, "score_every", 8);
+  const int64_t sessions = FlagInt(argc, argv, "sessions", 80);
   const int64_t batch = FlagInt(argc, argv, "batch", 64);
   const std::string json_path =
       FlagValue(argc, argv, "json", "BENCH_net.json");
@@ -265,45 +148,30 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Held-out seed, same generator family as the quickstart training set.
-  tpgnn::graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), sessions, /*seed=*/17);
-  serve::ReplayOptions replay_options;
-  replay_options.session_start_interval = 0.25;
-  replay_options.score_every_edges = score_every;
-  serve::EventReplayer replayer(dataset, replay_options);
-
-  // Session affinity: all events of a session go to one connection.
-  std::vector<std::vector<serve::Event>> per_connection(
-      static_cast<size_t>(connections));
-  for (const serve::Event& event : replayer.events()) {
-    per_connection[event.session_id % static_cast<uint64_t>(connections)]
-        .push_back(event);
-  }
-  std::printf("driving %s:%lld with %lld connections, %zu sessions, "
-              "%zu events, %zu score requests\n",
+  workload::WorkloadOptions mix = workload::PaperMixProfile(/*seed=*/17);
+  mix.num_sessions = static_cast<uint64_t>(sessions);
+  const workload::Stream stream = workload::WorkloadGenerator::Draw(mix);
+  std::printf("driving %s:%lld with %lld connections, %llu sessions, "
+              "%zu events, %llu score requests\n",
               host.c_str(), static_cast<long long>(port),
-              static_cast<long long>(connections), replayer.num_sessions(),
-              replayer.events().size(), replayer.num_score_requests());
+              static_cast<long long>(connections),
+              static_cast<unsigned long long>(mix.num_sessions),
+              stream.events.size(),
+              static_cast<unsigned long long>(stream.scores));
 
   net::ClientOptions client_options;
   client_options.host = host;
   client_options.port = static_cast<int>(port);
+  client_options.max_events_per_batch = static_cast<size_t>(batch);
+  const workload::LoadReport report = workload::DriveWire(
+      client_options, stream.events, static_cast<size_t>(connections));
 
-  SharedStats stats;
-  tpgnn::Stopwatch clock;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(connections));
-  for (int64_t c = 0; c < connections; ++c) {
-    workers.emplace_back(RunConnection, client_options,
-                         std::cref(per_connection[static_cast<size_t>(c)]),
-                         static_cast<size_t>(batch), std::cref(clock),
-                         &stats);
+  ScoreTable scores;
+  for (const serve::ScoreResult& result : report.results) {
+    if (result.status.ok()) {
+      scores[{result.session_id, result.edges_scored}] = result.logit;
+    }
   }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  const double wall_seconds = clock.ElapsedSeconds();
 
   // Parity sample: a handful of sessions re-scored on a fresh connection
   // must reproduce the load phase's logits bit-for-bit. Skipping this check
@@ -314,8 +182,8 @@ int main(int argc, char** argv) {
   size_t parity_mismatches = 0;
   bool parity_ran = true;
   if (parity_sample > 0) {
-    parity_ran = ReplaySessionsForParity(
-        client_options, replayer.events(), stats.scores,
+    parity_ran = RedriveSessionsForParity(
+        client_options, stream.events, scores,
         static_cast<size_t>(parity_sample), &parity_sessions, &parity_scores,
         &parity_mismatches);
   }
@@ -331,23 +199,25 @@ int main(int argc, char** argv) {
       }
     }
   }
+  serve::MetricsSnapshot server_snapshot;
+  const tpgnn::Status parsed =
+      serve::ParseMetricsJson(server_metrics, &server_snapshot);
 
-  const uint64_t scores_ok = stats.scores_ok.load();
-  const uint64_t events_sent = stats.events_sent.load();
-  const uint64_t batches = stats.batches.load();
-  const uint64_t overloads = stats.overloads.load();
-  const serve::LatencyHistogram::Snapshot ingest = stats.ingest_latency.Snap();
-  const serve::LatencyHistogram::Snapshot score = stats.score_latency.Snap();
+  const double wall_seconds = report.wall_seconds;
+  const size_t scores_ok = report.scores_ok();
+  const serve::LatencyHistogram::Snapshot& ingest = report.ingest_latency;
+  const serve::LatencyHistogram::Snapshot& score = report.score_latency;
+  // Frames sent: one per IngestAll call plus one resend per overload.
+  const uint64_t frames = ingest.count + report.overloads;
   const double overload_rate =
-      batches + overloads > 0
-          ? static_cast<double>(overloads) /
-                static_cast<double>(batches + overloads)
-          : 0.0;
+      frames > 0 ? static_cast<double>(report.overloads) /
+                       static_cast<double>(frames)
+                 : 0.0;
 
   std::printf("%8.0f events/s %8.0f scores/s  ingest p50/p95/p99 "
               "%5.0f/%5.0f/%5.0f us  score p50/p95/p99 %5.0f/%5.0f/%5.0f us"
               "  overload rate %.3f\n",
-              events_sent / wall_seconds, scores_ok / wall_seconds,
+              report.events_per_second(), scores_ok / wall_seconds,
               ingest.PercentileMicros(0.5), ingest.PercentileMicros(0.95),
               ingest.PercentileMicros(0.99), score.PercentileMicros(0.5),
               score.PercentileMicros(0.95), score.PercentileMicros(0.99),
@@ -356,12 +226,12 @@ int main(int argc, char** argv) {
   std::ostringstream out;
   out << "{\"bench\": \"net\""
       << ", \"connections\": " << connections
-      << ", \"sessions\": " << replayer.num_sessions()
-      << ", \"events\": " << events_sent
+      << ", \"sessions\": " << mix.num_sessions
+      << ", \"events\": " << report.events_applied
       << ", \"scores\": " << scores_ok
-      << ", \"scores_failed\": " << stats.scores_failed.load()
+      << ", \"scores_failed\": " << report.results.size() - scores_ok
       << ", \"wall_seconds\": " << wall_seconds
-      << ", \"events_per_second\": " << events_sent / wall_seconds
+      << ", \"events_per_second\": " << report.events_per_second()
       << ", \"scores_per_second\": " << scores_ok / wall_seconds
       << ", \"ingest_p50_us\": " << ingest.PercentileMicros(0.5)
       << ", \"ingest_p95_us\": " << ingest.PercentileMicros(0.95)
@@ -369,11 +239,13 @@ int main(int argc, char** argv) {
       << ", \"score_p50_us\": " << score.PercentileMicros(0.5)
       << ", \"score_p95_us\": " << score.PercentileMicros(0.95)
       << ", \"score_p99_us\": " << score.PercentileMicros(0.99)
-      << ", \"overloads\": " << overloads
+      << ", \"overloads\": " << report.overloads
       << ", \"overload_rate\": " << overload_rate
       << ", \"parity_sessions\": " << parity_sessions
       << ", \"parity_scores\": " << parity_scores
       << ", \"parity_mismatches\": " << parity_mismatches
+      << ", \"protocol_errors\": " << server_snapshot.protocol_errors << ", "
+      << tpgnn::bench::HostJsonFields()
       << ", \"server_metrics\": " << server_metrics << "}";
 
   std::ofstream file(json_path, std::ios::trunc);
@@ -384,9 +256,11 @@ int main(int argc, char** argv) {
   file << out.str() << "\n";
   std::printf("wrote %s\n", json_path.c_str());
 
-  if (stats.errors.load() > 0) {
-    std::fprintf(stderr, "smoke check failed: %llu connection errors\n",
-                 static_cast<unsigned long long>(stats.errors.load()));
+  if (report.errors > 0) {
+    std::fprintf(stderr, "smoke check failed: %llu connection errors, first: "
+                 "%s\n",
+                 static_cast<unsigned long long>(report.errors),
+                 report.first_error.c_str());
     return 1;
   }
   if (scores_ok == 0) {
@@ -402,16 +276,13 @@ int main(int argc, char** argv) {
     if (parity_mismatches > 0) {
       std::fprintf(stderr,
                    "smoke check failed: %zu parity mismatches over %zu "
-                   "re-replayed scores\n",
+                   "re-driven scores\n",
                    parity_mismatches, parity_scores);
       return 1;
     }
     std::printf("parity sample: %zu sessions, %zu scores bit-identical\n",
                 parity_sessions, parity_scores);
   }
-  serve::MetricsSnapshot server_snapshot;
-  const tpgnn::Status parsed =
-      serve::ParseMetricsJson(server_metrics, &server_snapshot);
   if (!parsed.ok()) {
     std::fprintf(stderr,
                  "smoke check failed: METRICS payload did not parse: %s\n",

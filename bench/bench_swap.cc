@@ -1,5 +1,6 @@
-// Hot-swap benchmark: drive the InferenceEngine with a replayed multi-
-// session stream and roll a new model version in mid-stream, measuring what
+// Hot-swap benchmark: drive the InferenceEngine with the PaperMixProfile
+// stream through the load driver and roll a new model version in
+// mid-stream, measuring what
 // the swap costs the serving path and gating the lifecycle invariants
 // (DESIGN.md §4.8):
 //
@@ -21,8 +22,7 @@
 //
 // Writes BENCH_swap.json (TPGNN_BENCH_SWAP_JSON); check_bench.py gates the
 // record with --require-zero mixed_version_scores. Scale knobs:
-// TPGNN_SWAP_SESSIONS (default 96), TPGNN_SWAP_SHARDS (default 4),
-// TPGNN_SWAP_SCORE_EVERY (default 4 edges).
+// TPGNN_SWAP_SESSIONS (default 240), TPGNN_SWAP_SHARDS (default 4).
 //
 // Flags: --max_p99_multiple=N (default 25) — the swap-window p99 may exceed
 // the pre-swap steady-state p99 by at most this factor (with a 2 ms absolute
@@ -34,26 +34,29 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_host.h"
 #include "core/config.h"
 #include "core/model.h"
-#include "data/datasets.h"
 #include "model/registry.h"
 #include "nn/checkpoint.h"
 #include "serve/inference_engine.h"
-#include "serve/replay.h"
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "workload/driver.h"
+#include "workload/generator.h"
+#include "workload/profiles.h"
 
 namespace core = tpgnn::core;
-namespace data = tpgnn::data;
 namespace model = tpgnn::model;
 namespace nn = tpgnn::nn;
 namespace serve = tpgnn::serve;
+namespace workload = tpgnn::workload;
 
 namespace {
 
@@ -67,6 +70,7 @@ struct SwapMeasurement {
   std::string name;
   size_t events = 0;
   size_t scores = 0;
+  uint64_t errors = 0;  // Failed ingests.
   double wall_seconds = 0.0;
   double steady_p99_us = 0.0;  // Score p99 before the swap point.
   double swap_p99_us = 0.0;    // Score p99 inside the swap window.
@@ -77,26 +81,13 @@ struct SwapMeasurement {
   }
 };
 
-// Histogram delta between two snapshots of the same monotone histogram:
-// the distribution of samples recorded in the window (pre, post].
-serve::LatencyHistogram::Snapshot HistogramWindow(
-    const serve::LatencyHistogram::Snapshot& pre,
-    const serve::LatencyHistogram::Snapshot& post) {
-  serve::LatencyHistogram::Snapshot window;
-  window.count = post.count - pre.count;
-  window.sum_micros = post.sum_micros - pre.sum_micros;
-  for (size_t i = 0; i < window.buckets.size(); ++i) {
-    window.buckets[i] = post.buckets[i] - pre.buckets[i];
-  }
-  return window;
-}
-
-// Replays `events` through a fresh engine; at one third of the stream the
-// v2 checkpoint is MODEL_LOADed, at two thirds it is activated under the
-// run's SwapPolicy (Mode::kShadow instead registers a primary-seed shadow
-// up front and never swaps). Scores drain in micro-batches like a real
-// caller under load; the swap window covers the activation plus the next
-// sixth of the stream.
+// Drives `events` through a fresh engine in four segments: at one third
+// of the stream the v2 checkpoint is MODEL_LOADed, at two thirds it is
+// activated under the run's SwapPolicy (Mode::kShadow instead registers a
+// primary-seed shadow up front and never swaps). Each segment ends with
+// the driver's flush, so the pre-swap snapshot covers every steady-state
+// score; the swap window covers the activation plus the next sixth of the
+// stream.
 SwapMeasurement RunSwapStream(Mode mode, const std::string& name,
                               const core::TpGnnConfig& config,
                               const std::vector<serve::Event>& events,
@@ -113,61 +104,46 @@ SwapMeasurement RunSwapStream(Mode mode, const std::string& name,
     TPGNN_CHECK(engine.registry().SetShadow("shadow").ok());
   }
 
+  const std::span<const serve::Event> stream(events);
   const size_t load_at = events.size() / 3;
   const size_t swap_at = 2 * events.size() / 3;
   const size_t window_end = swap_at + events.size() / 6;
 
-  std::vector<serve::ScoreResult> results;
-  serve::MetricsSnapshot pre_swap;
-  serve::MetricsSnapshot post_window;
-  bool have_window = false;
-  tpgnn::Stopwatch wall;
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (mode != Mode::kShadow) {
-      if (i == load_at) {
-        tpgnn::Status loaded = engine.LoadModelVersion("v2", checkpoint_path);
-        TPGNN_CHECK(loaded.ok()) << loaded.ToString();
-      } else if (i == swap_at) {
-        // Drain so the pre-swap snapshot covers every steady-state score.
-        engine.ProcessPending(&results);
-        pre_swap = engine.metrics().Snapshot();
-        const model::SwapPolicy policy = mode == Mode::kSwapRebase
-                                             ? model::SwapPolicy::kImmediateRebase
-                                             : model::SwapPolicy::kDrain;
-        tpgnn::Status activated = engine.ActivateModel("v2", policy);
-        TPGNN_CHECK(activated.ok()) << activated.ToString();
-      } else if (i == window_end) {
-        engine.ProcessPending(&results);
-        post_window = engine.metrics().Snapshot();
-        have_window = true;
-      }
-    }
-    tpgnn::Status status = engine.Ingest(events[i]);
-    while (status.code() == tpgnn::StatusCode::kOverloaded) {
-      engine.ProcessPending(&results);
-      status = engine.Ingest(events[i]);
-    }
-    TPGNN_CHECK(status.ok()) << status.ToString();
-    if (engine.pending_scores() >= static_cast<size_t>(options.max_batch)) {
-      engine.ProcessPending(&results);
-    }
-  }
-  engine.Flush(&results);
-
   SwapMeasurement m;
   m.name = name;
-  m.wall_seconds = wall.ElapsedSeconds();
-  m.events = events.size();
-  for (const serve::ScoreResult& r : results) {
-    if (r.status.ok()) ++m.scores;
+  auto drive = [&](size_t begin, size_t end) {
+    const workload::LoadReport report =
+        workload::DriveEngine(engine, stream.subspan(begin, end - begin));
+    m.events += report.events_applied;
+    m.scores += report.scores_ok();
+    m.errors += report.errors;
+  };
+  serve::MetricsSnapshot pre_swap;
+  serve::MetricsSnapshot post_window;
+  tpgnn::Stopwatch wall;
+  if (mode == Mode::kShadow) {
+    drive(0, events.size());
+  } else {
+    drive(0, load_at);
+    tpgnn::Status loaded = engine.LoadModelVersion("v2", checkpoint_path);
+    TPGNN_CHECK(loaded.ok()) << loaded.ToString();
+    drive(load_at, swap_at);
+    pre_swap = engine.metrics().Snapshot();
+    const model::SwapPolicy policy = mode == Mode::kSwapRebase
+                                         ? model::SwapPolicy::kImmediateRebase
+                                         : model::SwapPolicy::kDrain;
+    tpgnn::Status activated = engine.ActivateModel("v2", policy);
+    TPGNN_CHECK(activated.ok()) << activated.ToString();
+    drive(swap_at, window_end);
+    post_window = engine.metrics().Snapshot();
+    drive(window_end, events.size());
   }
+  m.wall_seconds = wall.ElapsedSeconds();
   m.metrics = engine.metrics().Snapshot();
   if (mode != Mode::kShadow) {
-    if (!have_window) post_window = m.metrics;  // Tiny stream: window = tail.
     m.steady_p99_us = pre_swap.score_latency.PercentileMicros(0.99);
-    m.swap_p99_us =
-        HistogramWindow(pre_swap.score_latency, post_window.score_latency)
-            .PercentileMicros(0.99);
+    m.swap_p99_us = post_window.score_latency.Since(pre_swap.score_latency)
+                        .PercentileMicros(0.99);
   }
   return m;
 }
@@ -191,7 +167,8 @@ std::string ToJsonLine(const SwapMeasurement& m) {
        << ", \"shadow_failures\": " << m.metrics.shadow_failures
        << ", \"shadow_delta_max\": " << m.metrics.shadow_delta_max
        << ", \"shadow_p99_us\": "
-       << m.metrics.shadow_latency.PercentileMicros(0.99) << "}";
+       << m.metrics.shadow_latency.PercentileMicros(0.99) << ", "
+       << tpgnn::bench::HostJsonFields() << "}";
   return line.str();
 }
 
@@ -210,9 +187,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int64_t sessions = tpgnn::GetEnvInt("TPGNN_SWAP_SESSIONS", 96);
+  const int64_t sessions = tpgnn::GetEnvInt("TPGNN_SWAP_SESSIONS", 240);
   const int shards = static_cast<int>(tpgnn::GetEnvInt("TPGNN_SWAP_SHARDS", 4));
-  const int64_t score_every = tpgnn::GetEnvInt("TPGNN_SWAP_SCORE_EVERY", 4);
 
   core::TpGnnConfig config;  // Serving formulation: invariant time basis.
   config.time_basis = core::TimeBasis::kInvariant;
@@ -228,16 +204,14 @@ int main(int argc, char** argv) {
     TPGNN_CHECK(saved.ok()) << saved.ToString();
   }
 
-  tpgnn::graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), sessions, /*seed=*/17);
-  serve::ReplayOptions replay_options;
-  replay_options.session_start_interval = 0.25;
-  replay_options.score_every_edges = score_every;
-  serve::EventReplayer replayer(dataset, replay_options);
-  std::printf("stream: %zu sessions, %zu events, %zu score requests, "
+  workload::WorkloadOptions mix = workload::PaperMixProfile(/*seed=*/17);
+  mix.num_sessions = static_cast<uint64_t>(sessions);
+  const workload::Stream stream = workload::WorkloadGenerator::Draw(mix);
+  std::printf("stream: %llu sessions, %zu events, %llu score requests, "
               "%d shards\n",
-              replayer.num_sessions(), replayer.events().size(),
-              replayer.num_score_requests(), shards);
+              static_cast<unsigned long long>(mix.num_sessions),
+              stream.events.size(),
+              static_cast<unsigned long long>(stream.scores), shards);
 
   struct RunSpec {
     Mode mode;
@@ -249,10 +223,10 @@ int main(int argc, char** argv) {
 
   std::vector<SwapMeasurement> measurements;
   for (const RunSpec& spec : specs) {
-    RunSwapStream(spec.mode, spec.name, config, replayer.events(),
-                  shards, ckpt_path);  // Warm-up.
-    const SwapMeasurement m = RunSwapStream(
-        spec.mode, spec.name, config, replayer.events(), shards, ckpt_path);
+    RunSwapStream(spec.mode, spec.name, config, stream.events, shards,
+                  ckpt_path);  // Warm-up.
+    const SwapMeasurement m = RunSwapStream(spec.mode, spec.name, config,
+                                            stream.events, shards, ckpt_path);
     std::printf(
         "%-8s %10.0f events/s  score p50/p99 %5.0f/%5.0f us  "
         "steady p99 %5.0f us  swap p99 %5.0f us  mixed %llu  rebases %llu  "
@@ -289,6 +263,11 @@ int main(int argc, char** argv) {
   // absorbs scheduler jitter on runs whose steady p99 is a few µs).
   bool gate_failed = false;
   for (const SwapMeasurement& m : measurements) {
+    if (m.errors != 0) {
+      std::fprintf(stderr, "SWAP GATE: %s: %llu failed ingests\n",
+                   m.name.c_str(), static_cast<unsigned long long>(m.errors));
+      gate_failed = true;
+    }
     if (m.metrics.mixed_version_scores != 0) {
       std::fprintf(stderr, "SWAP GATE: %s reported %llu mixed_version_scores\n",
                    m.name.c_str(),

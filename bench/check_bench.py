@@ -25,10 +25,12 @@ events_per_second and scores_per_second); lower-is-better metrics (e.g.
 ns_per_edge) with --lower-metric, where an *increase* past --max-drop
 fails. --require-zero names a metric that must be exactly 0 in every
 current entry carrying it, regardless of the baseline (zero parity
-mismatches, zero protocol errors, zero soak invariant violations). Entries present in only one of the two files are
-reported but do not fail the gate — benchmarks come and go; losing a
-baseline row is a review concern, not a perf regression. Improvements
-are never failures.
+mismatches, zero protocol errors, zero soak invariant violations), and
+that at least one current entry must carry at top level: a contract no
+entry reports is a contract nothing checks. Entries present in only one
+of the two files are reported but do not fail the gate — benchmarks
+come and go; losing a baseline row is a review concern, not a perf
+regression. Improvements are never failures.
 
 In trajectory mode a file listed in the config but missing from
 --current-dir is noted and skipped (CI jobs each produce a subset);
@@ -110,6 +112,11 @@ def gate_file(baseline_path, current_path, metrics, lower_metrics,
             print(f"{key:34s} {metric:20s} {base:12.1f} -> {cur:12.1f} "
                   f"({-drop:+7.1%}){marker}")
     zero_failures = []
+    for metric in require_zero:
+        if not any(metric in entry for entry in current.values()):
+            zero_failures.append(("(every entry)", metric, "missing"))
+            print(f"{'(every entry)':34s} {metric:20s} {'missing':>12s}"
+                  f"  << REGRESSION")
     for key in sorted(current):
         for metric in require_zero:
             cur = current[key].get(metric)

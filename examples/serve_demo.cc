@@ -1,6 +1,7 @@
-// Online-serving demo: replay a synthetic session dataset as one
-// interleaved event stream through the InferenceEngine and report
-// throughput, latency percentiles, and scoring accuracy.
+// Online-serving demo: drive the PaperMixProfile stream, the traffic the
+// serving benches and the repository benchmark run, through the
+// InferenceEngine with the load driver and report throughput and latency
+// percentiles.
 //
 // Pairs with the quickstart's checkpoint flags for a two-step flow:
 //
@@ -8,36 +9,35 @@
 //   $ ./build/examples/serve_demo --checkpoint=/tmp/tpgnn.ckpt
 //
 // Without --checkpoint the engine serves a freshly initialized model (the
-// plumbing is identical; the scores are just untrained). Exits nonzero when
-// no session was scored or the snapshot is rejected, so CI can use a run as
-// a smoke test.
+// plumbing is identical; the scores are just untrained). Session
+// abandonment is off, so every session ends and none may stay resident.
+// Exits nonzero when the snapshot is rejected, an event fails to ingest,
+// no session was scored or a session leaked, so CI can use a run as a
+// smoke test.
 //
 // Flags: --checkpoint=PATH  snapshot to serve (default: none)
-//        --sessions=N       replayed sessions (default 40)
-//        --score_every=N    mid-session score cadence in edges (default 8)
+//        --sessions=N       generated sessions (default 56)
 //        --shards=N         session shards (default 4)
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "core/model.h"
-#include "data/datasets.h"
 #include "serve/inference_engine.h"
-#include "serve/replay.h"
 #include "util/flags.h"
-#include "util/stopwatch.h"
+#include "workload/driver.h"
+#include "workload/generator.h"
+#include "workload/profiles.h"
 
 namespace core = tpgnn::core;
-namespace data = tpgnn::data;
 namespace serve = tpgnn::serve;
+namespace workload = tpgnn::workload;
 using tpgnn::FlagInt;
 using tpgnn::FlagValue;
 
 int main(int argc, char** argv) {
   const std::string checkpoint = FlagValue(argc, argv, "checkpoint", "");
-  const int64_t num_sessions = FlagInt(argc, argv, "sessions", 40);
-  const int64_t score_every = FlagInt(argc, argv, "score_every", 8);
+  const int64_t num_sessions = FlagInt(argc, argv, "sessions", 56);
   const int64_t num_shards = FlagInt(argc, argv, "shards", 4);
 
   // The engine config must match the snapshot's; both use the quickstart's
@@ -63,63 +63,35 @@ int main(int argc, char** argv) {
     std::printf("serving untrained model (no --checkpoint)\n");
   }
 
-  // Same generator family as the quickstart's training set, held-out seed.
-  tpgnn::graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), num_sessions, /*seed=*/99);
-  serve::ReplayOptions replay_options;
-  replay_options.session_start_interval = 0.5;
-  replay_options.score_every_edges = score_every;
-  serve::EventReplayer replayer(dataset, replay_options);
-  std::printf("replaying %zu sessions / %zu events / %zu score requests\n",
-              replayer.num_sessions(), replayer.events().size(),
-              replayer.num_score_requests());
-
-  std::vector<serve::ScoreResult> results;
-  tpgnn::Stopwatch wall;
-  for (const serve::Event& event : replayer.events()) {
-    tpgnn::Status status = engine.Ingest(event);
-    while (status.code() == tpgnn::StatusCode::kOverloaded) {
-      // Backpressure: drain a micro-batch, then resubmit.
-      engine.ProcessPending(&results);
-      status = engine.Ingest(event);
-    }
-    if (!status.ok()) {
-      std::fprintf(stderr, "ingest failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    if (engine.pending_scores() >= options.max_batch) {
-      engine.ProcessPending(&results);
-    }
+  workload::WorkloadOptions mix = workload::PaperMixProfile(/*seed=*/99);
+  mix.num_sessions = static_cast<uint64_t>(num_sessions);
+  for (workload::TenantProfile& tenant : mix.tenants) {
+    tenant.abandon_probability = 0.0;
   }
-  engine.Flush(&results);
-  const double wall_seconds = wall.ElapsedSeconds();
+  const workload::Stream stream = workload::WorkloadGenerator::Draw(mix);
+  std::printf("driving %llu sessions / %zu events / %llu score requests\n",
+              static_cast<unsigned long long>(mix.num_sessions),
+              stream.events.size(),
+              static_cast<unsigned long long>(stream.scores));
 
-  size_t scored = 0;
-  size_t correct = 0;
-  size_t labeled = 0;
-  for (const serve::ScoreResult& r : results) {
-    if (!r.status.ok()) continue;
-    ++scored;
-    if (r.label >= 0) {
-      ++labeled;
-      const int predicted = r.probability > 0.5f ? 1 : 0;
-      if (predicted == r.label) ++correct;
-    }
-  }
+  const workload::LoadReport report =
+      workload::DriveEngine(engine, stream.events);
+  const size_t scored = report.scores_ok();
 
   const serve::MetricsSnapshot snap = engine.metrics().Snapshot();
   std::printf("%s\n", snap.ToString().c_str());
   std::printf("throughput: %.0f events/s, %.0f scores/s (wall %.3f s)\n",
-              snap.events_ingested / wall_seconds, scored / wall_seconds,
-              wall_seconds);
-  if (labeled > 0) {
-    std::printf("final-score accuracy: %zu/%zu = %.1f%%\n", correct, labeled,
-                100.0 * static_cast<double>(correct) /
-                    static_cast<double>(labeled));
-  }
+              report.events_per_second(), scored / report.wall_seconds,
+              report.wall_seconds);
   std::printf("resident sessions after shutdown: %zu\n",
               engine.resident_sessions());
 
+  if (report.errors > 0) {
+    std::fprintf(stderr, "smoke check failed: %llu failed ingests, first: %s\n",
+                 static_cast<unsigned long long>(report.errors),
+                 report.first_error.c_str());
+    return 1;
+  }
   if (scored == 0) {
     std::fprintf(stderr, "smoke check failed: no session was scored\n");
     return 1;

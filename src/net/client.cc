@@ -13,11 +13,7 @@ namespace tpgnn::net {
 
 namespace {
 
-// IngestAll gives up after this many consecutive zero-progress overload
-// rounds (each round drains results or sleeps, so this is generous).
-constexpr int kMaxStallRounds = 200;
-
-size_t CountScores(const std::vector<serve::Event>& events, size_t limit) {
+size_t CountScores(std::span<const serve::Event> events, size_t limit) {
   size_t scores = 0;
   for (size_t i = 0; i < limit && i < events.size(); ++i) {
     if (events[i].kind == serve::Event::Kind::kScore) {
@@ -268,27 +264,32 @@ Status Client::IngestBatch(const std::vector<serve::Event>& events,
   return Status::Ok();
 }
 
-Status Client::IngestAll(const std::vector<serve::Event>& events) {
+Status Client::IngestAll(std::span<const serve::Event> events,
+                         IngestCounts* counts) {
+  IngestCounts local;
+  IngestCounts& acked = counts != nullptr ? *counts : local;
+  acked = IngestCounts{};
   size_t pos = 0;
-  int stall_rounds = 0;
+  Stopwatch since_progress;
   while (pos < events.size()) {
-    const size_t take =
-        std::min(options_.max_events_per_batch, events.size() - pos);
-    const std::vector<serve::Event> slice(
-        events.begin() + static_cast<ptrdiff_t>(pos),
-        events.begin() + static_cast<ptrdiff_t>(pos + take));
+    const std::span<const serve::Event> slice = events.subspan(
+        pos, std::min(options_.max_events_per_batch, events.size() - pos));
     uint64_t applied = 0;
-    Status st = IngestBatch(slice, &applied);
+    Status st = IngestBatch({slice.begin(), slice.end()}, &applied);
     pos += static_cast<size_t>(applied);
+    acked.events_applied += applied;
+    acked.scores_applied += CountScores(slice, static_cast<size_t>(applied));
+    if (applied > 0) {
+      since_progress.Restart();
+    }
     if (st.ok()) {
-      stall_rounds = 0;
       continue;
     }
     if (st.code() != StatusCode::kOverloaded) {
       return st;
     }
-    stall_rounds = applied > 0 ? 0 : stall_rounds + 1;
-    if (stall_rounds > kMaxStallRounds) {
+    ++acked.overloads;
+    if (since_progress.ElapsedSeconds() * 1e3 > options_.io_timeout_ms) {
       return st;
     }
     // Shed load: give the server room by collecting a result if any are

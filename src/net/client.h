@@ -2,6 +2,7 @@
 #define TPGNN_NET_CLIENT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,13 +28,21 @@
 //
 // Backpressure: a kOverloaded return from IngestBatch means the server
 // applied `*events_applied` events and shed the rest; IngestAll() wraps the
-// retry loop (drain results -> resend the tail). Reconnect: when a send
-// hits a broken pipe and reconnect_on_broken_pipe is set, the client
+// retry loop (drain results -> resend the tail) and is the only copy of it:
+// workload::DriveWire ships every wire stream through it. Reconnect: when a
+// send hits a broken pipe and reconnect_on_broken_pipe is set, the client
 // reconnects and retries that send once. Server-side session state survives
 // (it lives in the engine, not the connection), but score results that were
 // in flight on the dead connection are lost; inflight_scores() resets.
 
 namespace tpgnn::net {
+
+// What one IngestAll call got acked.
+struct IngestCounts {
+  uint64_t events_applied = 0;
+  uint64_t scores_applied = 0;  // Score requests in acked prefixes.
+  uint64_t overloads = 0;       // OVERLOADED replies absorbed.
+};
 
 struct ClientOptions {
   std::string host = "127.0.0.1";
@@ -71,10 +80,13 @@ class Client {
                      uint64_t* events_applied = nullptr);
 
   // Ships a whole event stream, slicing it into batches and absorbing
-  // kOverloaded backpressure: on overload the client collects score
-  // results (draining the server) and resends the unapplied tail. Fails
-  // with kOverloaded only when retries stop making progress.
-  Status IngestAll(const std::vector<serve::Event>& events);
+  // kOverloaded backpressure: on overload the client collects a score
+  // result (draining the server) or backs off, and resends the unapplied
+  // tail. Fails with kOverloaded only when no event has been applied for
+  // io_timeout_ms. `*counts` (optional) receives what was acked, also on
+  // failure.
+  Status IngestAll(std::span<const serve::Event> events,
+                   IngestCounts* counts = nullptr);
 
   // Synchronous score: sends a SCORE frame and blocks until its result
   // (all earlier pipelined results are collected first — the result of

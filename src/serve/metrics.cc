@@ -182,6 +182,17 @@ double LatencyHistogram::Snapshot::PercentileMicros(double q) const {
   return std::ldexp(1.0, kNumBuckets);
 }
 
+LatencyHistogram::Snapshot LatencyHistogram::Snapshot::Since(
+    const Snapshot& earlier) const {
+  Snapshot window;
+  window.count = count - earlier.count;
+  window.sum_micros = sum_micros - earlier.sum_micros;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    window.buckets[i] = buckets[i] - earlier.buckets[i];
+  }
+  return window;
+}
+
 void Metrics::RecordShadowDelta(double abs_delta) {
   if (abs_delta < 0.0 || std::isnan(abs_delta)) {
     abs_delta = 0.0;

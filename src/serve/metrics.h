@@ -109,6 +109,9 @@ class LatencyHistogram {
     // Percentile estimate (q in [0, 1]): upper edge of the bucket where the
     // cumulative count crosses q * count; 0 when empty.
     double PercentileMicros(double q) const;
+    // The samples recorded after `earlier`, an older snapshot of the same
+    // histogram: the distribution of the window between the two.
+    Snapshot Since(const Snapshot& earlier) const;
   };
 
   Snapshot Snap() const;

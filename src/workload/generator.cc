@@ -279,6 +279,18 @@ void WorkloadGenerator::EmitFromOpen(serve::Event* event,
   heap_.push({top.time + next.gap, top.slot});
 }
 
+Stream WorkloadGenerator::Draw(const WorkloadOptions& options) {
+  TPGNN_CHECK_GT(options.num_sessions, 0u) << "an unbounded stream";
+  WorkloadGenerator generator(options);
+  Stream stream;
+  serve::Event event;
+  while (generator.Next(&event)) {
+    stream.scores += event.kind == serve::Event::Kind::kScore ? 1 : 0;
+    stream.events.push_back(std::move(event));
+  }
+  return stream;
+}
+
 MaterializedSession WorkloadGenerator::MaterializeSession(
     uint64_t index) const {
   Rng rng(SessionSeed(options_.seed, index));

@@ -130,6 +130,13 @@ uint64_t SessionId(uint64_t seed, uint64_t index);
 // lane) and of the schedule Rng.
 uint64_t SessionSeed(uint64_t seed, uint64_t index);
 
+// A bounded stream drawn whole: the traffic every serving bench, the demo
+// and the network tests ship (through workload::DriveEngine/DriveWire).
+struct Stream {
+  std::vector<serve::Event> events;
+  uint64_t scores = 0;  // Score requests among `events`.
+};
+
 class WorkloadGenerator {
  public:
   explicit WorkloadGenerator(const WorkloadOptions& options);
@@ -145,6 +152,10 @@ class WorkloadGenerator {
   // state. Pure in (options, index): callable before, during, or after the
   // stream reaches that session, from any thread, on a fresh generator.
   MaterializedSession MaterializeSession(uint64_t index) const;
+
+  // Every event of a bounded workload (options.num_sessions > 0), drawn
+  // by a fresh generator.
+  static Stream Draw(const WorkloadOptions& options);
 
   const WorkloadOptions& options() const { return options_; }
   // Sessions whose Begin has been emitted so far.

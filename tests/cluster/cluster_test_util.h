@@ -15,6 +15,7 @@
 #include "cluster/ring.h"
 #include "cluster/router.h"
 #include "net/client.h"
+#include "net/harness.h"
 #include "net/net_test_util.h"
 #include "net/server.h"
 #include "serve/inference_engine.h"
@@ -44,7 +45,7 @@ class RouterHarness {
     std::vector<BackendConfig> configs;
     for (size_t i = 0; i < num_backends; ++i) {
       backends_.push_back(std::make_unique<net::ServerHarness>(
-          serve::EngineOptions{}, net::ServerOptions{}, kClusterSeed));
+          serve::TinyServeConfig(), kClusterSeed));
       configs.push_back(
           {BackendName(i), "127.0.0.1", backends_[i]->port()});
     }

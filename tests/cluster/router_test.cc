@@ -23,11 +23,10 @@
 #include "net/client.h"
 #include "serve/parity_oracle.h"
 #include "util/failpoint.h"
+#include "workload/driver.h"
 
 namespace tpgnn::cluster {
 namespace {
-
-using net::MakeReplayer;
 
 // One resident session per graph (id = index + 1): Begin + all edges, no
 // End — sessions stay alive so tests can re-score them after migrations.
@@ -61,29 +60,31 @@ void ExpectFullPrefixScores(net::Client& client,
   }
 }
 
-// Sessions of `dataset` owned by backend `name` under the harness ring.
-std::vector<uint64_t> SessionsOwnedBy(const graph::GraphDataset& dataset,
+// Sessions begun in `events` owned by backend `name` under the harness
+// ring.
+std::vector<uint64_t> SessionsOwnedBy(const std::vector<serve::Event>& events,
                                       size_t num_backends,
                                       const std::string& name) {
   HashRing ring = HarnessRing(num_backends);
   std::vector<uint64_t> owned;
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    if (*ring.OwnerOf(i + 1) == name) {
-      owned.push_back(i + 1);
+  for (const serve::Event& event : events) {
+    if (event.kind == serve::Event::Kind::kBegin &&
+        *ring.OwnerOf(event.session_id) == name) {
+      owned.push_back(event.session_id);
     }
   }
   return owned;
 }
 
-// The harness backend owning the most sessions of `dataset` — the most
-// interesting one to kill or drain.
-size_t BusiestBackend(const graph::GraphDataset& dataset,
+// The harness backend owning the most sessions begun in `events` — the
+// most interesting one to kill or drain.
+size_t BusiestBackend(const std::vector<serve::Event>& events,
                       size_t num_backends) {
   size_t busiest = 0;
   size_t most = 0;
   for (size_t b = 0; b < num_backends; ++b) {
     const size_t owned =
-        SessionsOwnedBy(dataset, num_backends, RouterHarness::BackendName(b))
+        SessionsOwnedBy(events, num_backends, RouterHarness::BackendName(b))
             .size();
     if (owned > most) {
       most = owned;
@@ -110,24 +111,25 @@ TEST(RouterTest, SpeaksTheSingleServerProtocolThroughOneBackend) {
 }
 
 TEST(RouterTest, ProxiesPipelinedStreamBitExactlyAcrossTwoBackends) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/8, /*seed=*/13);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = net::MixStream(/*seed=*/13, /*sessions=*/8);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
   RouterHarness harness(2);
-  const std::vector<serve::ScoreResult> results =
-      net::Replay(harness.client_options(), replayer.events());
-  ASSERT_EQ(results.size(), replayer.num_score_requests());
-  EXPECT_EQ(ExpectPrefixParityOrTypedFailure(oracle, results), 0u)
+  const workload::LoadReport report =
+      workload::DriveWire(harness.client_options(), stream.events);
+  EXPECT_EQ(report.errors, 0u) << report.first_error;
+  EXPECT_EQ(report.scores_acked, stream.scores);
+  ASSERT_EQ(report.results.size(), stream.scores);
+  EXPECT_EQ(ExpectPrefixParityOrTypedFailure(oracle, report.results), 0u)
       << "no failover happened, so no typed failures are admissible";
 
   // The ring actually sharded the load: every backend that owns sessions
   // under the harness ring saw Begins.
   for (size_t b = 0; b < harness.num_backends(); ++b) {
     const size_t owned =
-        SessionsOwnedBy(dataset, 2, RouterHarness::BackendName(b)).size();
+        SessionsOwnedBy(stream.events, 2, RouterHarness::BackendName(b))
+            .size();
     EXPECT_EQ(
         harness.backend(b).engine().metrics().sessions_begun.load(),
         owned);
@@ -182,19 +184,18 @@ TEST(RouterTest, MultiOwnerBatchKeepsPrefixAckSemantics) {
 }
 
 TEST(RouterTest, KillingABackendMidStreamKeepsExactlyOnceAndParity) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/10, /*seed=*/11);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream =
+      net::MixStream(/*seed=*/11, /*sessions=*/10);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kClusterSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
   RouterHarness harness(2);
-  const size_t victim = BusiestBackend(dataset, 2);
+  const size_t victim = BusiestBackend(stream.events, 2);
   net::Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 
   // Ship ~60% of the stream, SIGKILL the busiest backend, ship the rest.
-  const std::vector<serve::Event>& events = replayer.events();
+  const std::vector<serve::Event>& events = stream.events;
   const size_t cut = events.size() * 6 / 10;
   ASSERT_TRUE(client
                   .IngestAll({events.begin(),
@@ -210,7 +211,7 @@ TEST(RouterTest, KillingABackendMidStreamKeepsExactlyOnceAndParity) {
   // Exactly-once: every score request resolves exactly once — as a result
   // or a typed kDataLoss — never dropped, never duplicated.
   std::vector<serve::ScoreResult> results = client.TakeResults();
-  EXPECT_EQ(results.size(), replayer.num_score_requests());
+  EXPECT_EQ(results.size(), stream.scores);
   const size_t failed = ExpectPrefixParityOrTypedFailure(oracle, results);
   client.Close();
   harness.Stop();
@@ -232,7 +233,7 @@ TEST(RouterTest, KilledBackendRestartsRejoinsAndServesBitExactly) {
   oracle.Record(events);
 
   RouterHarness harness(2);
-  const size_t victim = BusiestBackend(dataset, 2);
+  const size_t victim = BusiestBackend(events, 2);
   const int victim_port = harness.backend(victim).port();
   net::Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
@@ -255,7 +256,8 @@ TEST(RouterTest, KilledBackendRestartsRejoinsAndServesBitExactly) {
   // back — still bit-exact.
   net::ServerOptions same_port;
   same_port.port = victim_port;
-  net::ServerHarness replacement({}, same_port, kClusterSeed);
+  net::ServerHarness replacement(serve::TinyServeConfig(), kClusterSeed, {},
+                                 same_port);
   harness.WaitForConnectedBackends(2);
   ExpectFullPrefixScores(client, dataset, oracle);
   EXPECT_GT(replacement.engine().metrics().sessions_imported.load(), 0u);
@@ -298,9 +300,9 @@ TEST(RouterTest, DrainAndUndrainMigrateSessionsBitExactly) {
     ExpectFullPrefixScores(client, dataset, oracle);
   });
 
-  const size_t victim = BusiestBackend(dataset, 2);
+  const size_t victim = BusiestBackend(events, 2);
   const std::string victim_name = RouterHarness::BackendName(victim);
-  const size_t owned = SessionsOwnedBy(dataset, 2, victim_name).size();
+  const size_t owned = SessionsOwnedBy(events, 2, victim_name).size();
   ASSERT_GT(owned, 0u);
 
   // Drain: every session the victim owns moves away as a fold-state
@@ -336,7 +338,7 @@ TEST(RouterTest, ShedsWithOverloadedWhenNoBackendIsUp) {
   // stop it.
   int dead_port = 0;
   {
-    net::ServerHarness ghost;
+    net::ServerHarness ghost(serve::TinyServeConfig(), kClusterSeed);
     dead_port = ghost.port();
   }
 
@@ -483,9 +485,9 @@ TEST(RouterTest, MigrateFailpointFailsOneMoveButKeepsServing) {
     ASSERT_TRUE(client.IngestAll(events).ok());
   });
 
-  const size_t victim = BusiestBackend(dataset, 2);
+  const size_t victim = BusiestBackend(events, 2);
   const std::string victim_name = RouterHarness::BackendName(victim);
-  const size_t owned = SessionsOwnedBy(dataset, 2, victim_name).size();
+  const size_t owned = SessionsOwnedBy(events, 2, victim_name).size();
   ASSERT_GT(owned, 1u) << "need at least two sessions on the victim";
 
   // Exactly one injected migration failure: that session's move aborts

@@ -1,7 +1,7 @@
-// Seeded chaos: replay an EventReplayer stream through the full TCP stack
-// while failpoints inject partial I/O, delays, allocation pressure, queue
-// rejections, scoring failures, and corrupted wire frames. The invariants
-// that must survive every schedule:
+// Seeded chaos: drive a generated PaperMix stream through the full TCP
+// stack with workload::DriveWire while failpoints inject partial I/O,
+// delays, allocation pressure, queue rejections, scoring failures, and
+// corrupted wire frames. The invariants that must survive every schedule:
 //
 //   * no crash (the whole binary runs under ASan/UBSan and TSan in CI);
 //   * every accepted event is scored exactly once — shed events are
@@ -25,15 +25,15 @@
 #include <utility>
 #include <vector>
 
-#include "data/datasets.h"
 #include "net/client.h"
-#include "net/server.h"
+#include "net/harness.h"
 #include "net_test_util.h"
 #include "serve/inference_engine.h"
 #include "serve/parity_oracle.h"
 #include "serve/serve_test_util.h"
 #include "util/env.h"
 #include "util/failpoint.h"
+#include "workload/driver.h"
 
 namespace tpgnn::net {
 namespace {
@@ -56,17 +56,19 @@ class ChaosTest : public ::testing::Test {
   }
 };
 
-// Every OK result must pass the oracle at its arrival prefix.
-// `*failed_out` (optional) receives the number of failed results, each of
-// which must carry the injected-fault marker of `injected_site` (pass
-// nullptr when no failures are expected).
+// The run must have delivered `expected_count` score requests and one
+// result for each, and every OK result must pass the oracle at its arrival
+// prefix. `*failed_out` (optional) receives the number of failed results,
+// each of which must carry the injected-fault marker of `injected_site`
+// (pass nullptr when no failures are expected).
 void CheckResults(serve::ParityOracle& oracle,
-                  const std::vector<serve::ScoreResult>& results,
-                  size_t expected_count, const char* injected_site,
-                  size_t* failed_out = nullptr) {
-  EXPECT_EQ(results.size(), expected_count);
+                  const workload::LoadReport& report, size_t expected_count,
+                  const char* injected_site, size_t* failed_out = nullptr) {
+  EXPECT_EQ(report.errors, 0u) << report.first_error;
+  EXPECT_EQ(report.scores_acked, expected_count);
+  EXPECT_EQ(report.results.size(), expected_count);
   size_t failed = 0;
-  for (const serve::ScoreResult& result : results) {
+  for (const serve::ScoreResult& result : report.results) {
     if (!result.status.ok()) {
       ++failed;
       ASSERT_NE(injected_site, nullptr) << result.status.ToString();
@@ -105,50 +107,48 @@ ServerOptions UncappedServer() {
 // client's shed-and-retry path must still deliver every score exactly once,
 // and overload_rejections must count exactly the injected fires.
 TEST_F(ChaosTest, InjectedOverloadIsRetriedAndAccountedExactly) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/11);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = MixStream(/*seed=*/11, /*sessions=*/6);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
-  ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed, UncappedEngine(),
+                        UncappedServer());
   failpoint::SetSeed(41);
-  std::vector<serve::ScoreResult> results;
+  workload::LoadReport report;
   {
     ScopedFailpoint overload("engine.score_enqueue", 0.2, Kind::kReturnError);
-    results = Replay(harness.client_options(), replayer.events());
+    report = workload::DriveWire(harness.client_options(), stream.events);
   }
 
-  CheckResults(oracle, results, replayer.num_score_requests(), nullptr);
+  CheckResults(oracle, report, stream.scores, nullptr);
   const uint64_t fires = failpoint::FireCount("engine.score_enqueue");
   const serve::Metrics& metrics = harness.engine().metrics();
   EXPECT_GT(fires, 0u);
   EXPECT_EQ(metrics.overload_rejections.load(), fires);
   EXPECT_EQ(metrics.scores_failed.load(), 0u);
   EXPECT_EQ(metrics.protocol_errors.load(), 0u);
-  EXPECT_EQ(metrics.scores_completed.load(), replayer.num_score_requests());
+  EXPECT_EQ(metrics.scores_completed.load(), stream.scores);
 }
 
 // Injected scoring failures come back as typed SCORE_RESULT errors naming
 // the site; scores_failed counts exactly the fires and the OK remainder is
 // still bit-identical to the reference.
 TEST_F(ChaosTest, InjectedScoreFailuresAreTypedAndCountedExactly) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/11);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = MixStream(/*seed=*/11, /*sessions=*/6);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
-  ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed, UncappedEngine(),
+                        UncappedServer());
   failpoint::SetSeed(43);
-  std::vector<serve::ScoreResult> results;
+  workload::LoadReport report;
   {
     ScopedFailpoint fail("shard.score", 0.3, Kind::kReturnError);
-    results = Replay(harness.client_options(), replayer.events());
+    report = workload::DriveWire(harness.client_options(), stream.events);
   }
 
   size_t failed = 0;
-  CheckResults(oracle, results, replayer.num_score_requests(), "shard.score",
+  CheckResults(oracle, report, stream.scores, "shard.score",
                &failed);
   const uint64_t fires = failpoint::FireCount("shard.score");
   const serve::Metrics& metrics = harness.engine().metrics();
@@ -156,7 +156,7 @@ TEST_F(ChaosTest, InjectedScoreFailuresAreTypedAndCountedExactly) {
   EXPECT_EQ(failed, fires);
   EXPECT_EQ(metrics.scores_failed.load(), fires);
   EXPECT_EQ(metrics.scores_completed.load(),
-            replayer.num_score_requests() - fires);
+            stream.scores - fires);
   EXPECT_EQ(metrics.protocol_errors.load(), 0u);
 }
 
@@ -164,15 +164,14 @@ TEST_F(ChaosTest, InjectedScoreFailuresAreTypedAndCountedExactly) {
 // *recoverable* faults: the stack must absorb them invisibly. Every score
 // arrives, bit-identical, and every error counter stays at zero.
 TEST_F(ChaosTest, IoFaultScheduleIsInvisibleToResults) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/13);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = MixStream(/*seed=*/13, /*sessions=*/6);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
-  ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed, UncappedEngine(),
+                        UncappedServer());
   failpoint::SetSeed(47);
-  std::vector<serve::ScoreResult> results;
+  workload::LoadReport report;
   {
     ScopedFailpoint recv("net.recv", 0.25, Kind::kShortIo, /*arg=*/7);
     ScopedFailpoint send("net.send", 0.25, Kind::kShortIo, /*arg=*/5);
@@ -182,10 +181,10 @@ TEST_F(ChaosTest, IoFaultScheduleIsInvisibleToResults) {
     ScopedFailpoint dispatch("server.dispatch", 0.05, Kind::kDelay,
                              /*arg=*/300);
     ScopedFailpoint pool("pool.acquire", 0.3, Kind::kAllocFail);
-    results = Replay(harness.client_options(), replayer.events());
+    report = workload::DriveWire(harness.client_options(), stream.events);
   }
 
-  CheckResults(oracle, results, replayer.num_score_requests(), nullptr);
+  CheckResults(oracle, report, stream.scores, nullptr);
   // The schedule actually bit: the wire faults and pool faults fired.
   EXPECT_GT(failpoint::FireCount("net.recv") +
                 failpoint::FireCount("net.recv_some"),
@@ -204,7 +203,8 @@ TEST_F(ChaosTest, IoFaultScheduleIsInvisibleToResults) {
 // connection, protocol_errors counts exactly the injected fires, and a
 // fresh connection recovers every time.
 TEST_F(ChaosTest, CorruptClientFramesAreTypedCountedAndRecoverable) {
-  ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed, UncappedEngine(),
+                        UncappedServer());
   failpoint::SetSeed(53);
 
   constexpr uint64_t kCorruptions = 3;
@@ -234,7 +234,8 @@ TEST_F(ChaosTest, CorruptClientFramesAreTypedCountedAndRecoverable) {
 // Corruption on the server->client leg is detected by the client decoder as
 // a typed kDataLoss; the client tears the stream down and reconnects clean.
 TEST_F(ChaosTest, CorruptServerFramesAreDetectedByClient) {
-  ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed, UncappedEngine(),
+                        UncappedServer());
   failpoint::SetSeed(59);
 
   Client client(harness.client_options());
@@ -256,7 +257,7 @@ TEST_F(ChaosTest, CorruptServerFramesAreDetectedByClient) {
 // Injected connect flaps are absorbed by Connect()'s own retry loop as long
 // as the flap count stays below the attempt budget.
 TEST_F(ChaosTest, ConnectFlapsAreAbsorbedByRetries) {
-  ServerHarness harness({}, {}, kSeed);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   failpoint::SetSeed(61);
   ScopedFailpoint flap("client.connect", 1.0, Kind::kReturnError, /*arg=*/0,
                        /*max_fires=*/2);
@@ -283,9 +284,7 @@ TEST_F(ChaosTest, ConnectFlapsAreAbsorbedByRetries) {
 // chaos run is reproducible: the same requests fail, the same fire counts
 // accumulate, and the same scores come out bit-identical.
 TEST_F(ChaosTest, SameSeedSameOutcome) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/4, /*seed=*/17);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = MixStream(/*seed=*/17, /*sessions=*/4);
 
   struct RunRecord {
     std::vector<int> ingest_codes;
@@ -308,7 +307,7 @@ TEST_F(ChaosTest, SameSeedSameOutcome) {
     serve::InferenceEngine engine(serve::TinyServeConfig(), kSeed, options);
     RunRecord record;
     std::vector<serve::ScoreResult> results;
-    for (const serve::Event& event : replayer.events()) {
+    for (const serve::Event& event : stream.events) {
       record.ingest_codes.push_back(
           static_cast<int>(engine.Ingest(event).code()));
     }
@@ -333,11 +332,9 @@ TEST_F(ChaosTest, SameSeedSameOutcome) {
 // seeds (CI overrides the seed via TPGNN_CHAOS_SEED to widen coverage under
 // ASan/UBSan and TSan). Every invariant must hold for every seed.
 TEST_F(ChaosTest, SweepAllFaultFamiliesAcrossSeeds) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/19);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = MixStream(/*seed=*/19, /*sessions=*/6);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
   std::vector<uint64_t> seeds = {101, 202, 303};
   if (const int64_t env = GetEnvInt("TPGNN_CHAOS_SEED", -1); env >= 0) {
@@ -346,9 +343,10 @@ TEST_F(ChaosTest, SweepAllFaultFamiliesAcrossSeeds) {
 
   for (const uint64_t seed : seeds) {
     SCOPED_TRACE("chaos seed " + std::to_string(seed));
-    ServerHarness harness(UncappedEngine(), UncappedServer(), kSeed);
+    ServerHarness harness(serve::TinyServeConfig(), kSeed, UncappedEngine(),
+                        UncappedServer());
     failpoint::SetSeed(seed);
-    std::vector<serve::ScoreResult> results;
+    workload::LoadReport report;
     {
       ScopedFailpoint recv("net.recv", 0.15, Kind::kShortIo, /*arg=*/7);
       ScopedFailpoint send("net.send", 0.15, Kind::kShortIo, /*arg=*/5);
@@ -367,13 +365,13 @@ TEST_F(ChaosTest, SweepAllFaultFamiliesAcrossSeeds) {
       ScopedFailpoint enqueue("engine.score_enqueue", 0.05,
                               Kind::kReturnError);
       ScopedFailpoint begin("shard.begin", 0.2, Kind::kReturnError);
-      results = Replay(harness.client_options(), replayer.events());
+      report = workload::DriveWire(harness.client_options(), stream.events);
     }
 
     // Exactly once, bit-identical, despite every fault family firing.
-    CheckResults(oracle, results, replayer.num_score_requests(), nullptr);
+    CheckResults(oracle, report, stream.scores, nullptr);
     const serve::Metrics& metrics = harness.engine().metrics();
-    EXPECT_EQ(metrics.scores_completed.load(), replayer.num_score_requests());
+    EXPECT_EQ(metrics.scores_completed.load(), stream.scores);
     EXPECT_EQ(metrics.scores_failed.load(), 0u);
     EXPECT_EQ(metrics.protocol_errors.load(), 0u);
     // Every overload rejection is attributable to an injected fire — the

@@ -11,29 +11,32 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "data/datasets.h"
 #include "net/client.h"
-#include "net/server.h"
+#include "net/harness.h"
 #include "net_test_util.h"
 #include "serve/inference_engine.h"
 #include "serve/parity_oracle.h"
 #include "serve/serve_test_util.h"
+#include "workload/driver.h"
 
 namespace tpgnn::net {
 namespace {
 
 constexpr uint64_t kSeed = 5;
 
-// Every networked result must pass the oracle at its arrival prefix.
+// The run must have delivered `expected_count` score requests and one
+// result for each, and every result must pass the oracle at its arrival
+// prefix.
 void ExpectPrefixParity(serve::ParityOracle& oracle,
-                        const std::vector<serve::ScoreResult>& results,
+                        const workload::LoadReport& report,
                         size_t expected_count) {
-  ASSERT_EQ(results.size(), expected_count);
-  for (const serve::ScoreResult& result : results) {
+  EXPECT_EQ(report.errors, 0u) << report.first_error;
+  EXPECT_EQ(report.scores_acked, expected_count);
+  ASSERT_EQ(report.results.size(), expected_count);
+  for (const serve::ScoreResult& result : report.results) {
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
     const Status parity = oracle.Check(result);
     EXPECT_TRUE(parity.ok()) << parity.ToString();
@@ -41,16 +44,14 @@ void ExpectPrefixParity(serve::ParityOracle& oracle,
 }
 
 TEST(LoopbackParityTest, SingleConnectionMatchesInProcessExactly) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/6, /*seed=*/11);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = MixStream(/*seed=*/11, /*sessions=*/6);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
-  ServerHarness harness({}, {}, kSeed);
-  ExpectPrefixParity(oracle,
-                     Replay(harness.client_options(), replayer.events()),
-                     replayer.num_score_requests());
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
+  ExpectPrefixParity(
+      oracle, workload::DriveWire(harness.client_options(), stream.events),
+      stream.scores);
 }
 
 TEST(LoopbackParityTest, SynchronousScoresMatchExactPrefixes) {
@@ -70,7 +71,7 @@ TEST(LoopbackParityTest, SynchronousScoresMatchExactPrefixes) {
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
   oracle.Record(all);
 
-  ServerHarness harness({}, {}, kSeed);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 
@@ -94,43 +95,21 @@ TEST(LoopbackParityTest, SynchronousScoresMatchExactPrefixes) {
 }
 
 TEST(LoopbackParityTest, ShardAndConnectionCountsNeverChangeABit) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/8, /*seed=*/13);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = MixStream(/*seed=*/13, /*sessions=*/8);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
   for (int shards : {1, 3}) {
-    for (int connections : {1, 3}) {
+    for (size_t connections : {1, 3}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " connections=" + std::to_string(connections));
       serve::EngineOptions engine_options;
       engine_options.num_shards = shards;
-      ServerHarness harness(engine_options, {}, kSeed);
-
-      // Session affinity: partition sessions across connections; each
-      // session's events stay in order on its own connection.
-      std::vector<std::vector<serve::Event>> per_connection(
-          static_cast<size_t>(connections));
-      for (const serve::Event& event : replayer.events()) {
-        per_connection[event.session_id % static_cast<uint64_t>(connections)]
-            .push_back(event);
-      }
-      std::vector<serve::ScoreResult> networked;
-      std::mutex mu;
-      std::vector<std::thread> threads;
-      for (int c = 0; c < connections; ++c) {
-        threads.emplace_back([&, c] {
-          std::vector<serve::ScoreResult> results =
-              Replay(harness.client_options(),
-                     per_connection[static_cast<size_t>(c)]);
-          std::lock_guard<std::mutex> lock(mu);
-          networked.insert(networked.end(), results.begin(), results.end());
-        });
-      }
-      for (std::thread& t : threads) t.join();
-
-      ExpectPrefixParity(oracle, networked, replayer.num_score_requests());
+      ServerHarness harness(serve::TinyServeConfig(), kSeed, engine_options);
+      ExpectPrefixParity(oracle,
+                         workload::DriveWire(harness.client_options(),
+                                             stream.events, connections),
+                         stream.scores);
     }
   }
 }
@@ -164,20 +143,18 @@ TEST(LoopbackParityTest, OutOfOrderEdgeArrivalMatchesInProcess) {
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
   oracle.Record(events);
 
-  ServerHarness harness({}, {}, kSeed);
-  const std::vector<serve::ScoreResult> results =
-      Replay(harness.client_options(), events);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
+  const workload::LoadReport report =
+      workload::DriveWire(harness.client_options(), events);
 
   EXPECT_GT(harness.engine().metrics().state_refolds.load(), 0u);
-  ExpectPrefixParity(oracle, results, score_requests);
+  ExpectPrefixParity(oracle, report, score_requests);
 }
 
 TEST(LoopbackParityTest, OverloadRetryPathPreservesParity) {
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/5, /*seed=*/19);
-  serve::EventReplayer replayer = MakeReplayer(dataset);
+  const workload::Stream stream = MixStream(/*seed=*/19, /*sessions=*/5);
   serve::ParityOracle oracle(serve::TinyServeConfig(), kSeed);
-  oracle.Record(replayer.events());
+  oracle.Record(stream.events);
 
   // Tiny queue and in-flight caps: the stream cannot ship without hitting
   // OVERLOADED frames, so IngestAll's drain-and-retry loop must fire — and
@@ -187,12 +164,15 @@ TEST(LoopbackParityTest, OverloadRetryPathPreservesParity) {
   engine_options.max_batch = 2;
   ServerOptions server_options;
   server_options.max_inflight_scores = 2;
-  ServerHarness harness(engine_options, server_options, kSeed);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed, engine_options,
+                        server_options);
 
   ClientOptions client_options = harness.client_options();
   client_options.max_events_per_batch = 16;
-  ExpectPrefixParity(oracle, Replay(client_options, replayer.events()),
-                     replayer.num_score_requests());
+  const workload::LoadReport report =
+      workload::DriveWire(client_options, stream.events);
+  EXPECT_GT(report.overloads, 0u);
+  ExpectPrefixParity(oracle, report, stream.scores);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "core/model.h"
 #include "data/datasets.h"
 #include "net/client.h"
+#include "net/harness.h"
 #include "net/protocol.h"
 #include "net_test_util.h"
 #include "nn/checkpoint.h"
@@ -20,6 +21,7 @@
 namespace tpgnn::net {
 namespace {
 
+constexpr uint64_t kSeed = 5;
 constexpr uint64_t kCheckpointSeed = 7;
 
 std::string WriteCheckpoint(const std::string& tag) {
@@ -33,7 +35,7 @@ std::string WriteCheckpoint(const std::string& tag) {
 }
 
 TEST(ModelAdminTest, LoadRolesActivateAndStatusRoundTrip) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 
@@ -88,7 +90,7 @@ TEST(ModelAdminTest, LoadRolesActivateAndStatusRoundTrip) {
 }
 
 TEST(ModelAdminTest, ServerErrorsSurfaceAsTypedAckStatus) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 

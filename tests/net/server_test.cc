@@ -6,28 +6,30 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/datasets.h"
 #include "net/client.h"
+#include "net/harness.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net_test_util.h"
 #include "util/net.h"
+#include "workload/driver.h"
 
 namespace tpgnn::net {
 namespace {
+
+constexpr uint64_t kSeed = 5;
 
 graph::GraphDataset TinyDataset(int count = 1) {
   return data::MakeDataset(data::HdfsSpec(), count, /*seed=*/11);
 }
 
 TEST(ServerTest, PingPong) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
   EXPECT_TRUE(client.Ping().ok());
@@ -35,7 +37,7 @@ TEST(ServerTest, PingPong) {
 }
 
 TEST(ServerTest, IngestBatchAppliesAllEventsAndScores) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 
@@ -64,7 +66,7 @@ TEST(ServerTest, IngestBatchAppliesAllEventsAndScores) {
 }
 
 TEST(ServerTest, NonFiniteFeatureIsRejectedTypedAndServingContinues) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 
@@ -105,7 +107,7 @@ TEST(ServerTest, NonFiniteFeatureIsRejectedTypedAndServingContinues) {
 }
 
 TEST(ServerTest, SynchronousScoreRpc) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 
@@ -132,7 +134,7 @@ TEST(ServerTest, SynchronousScoreRpc) {
 }
 
 TEST(ServerTest, MetricsRpcReturnsEngineAndWireCounters) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(client.Ping().ok());
@@ -147,7 +149,7 @@ TEST(ServerTest, MetricsRpcReturnsEngineAndWireCounters) {
 }
 
 TEST(ServerTest, MalformedStreamGetsTypedErrorThenClose) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   UniqueFd fd;
   ASSERT_TRUE(
       ConnectTcp("127.0.0.1", harness.port(), /*timeout_ms=*/2000, &fd).ok());
@@ -185,7 +187,7 @@ TEST(ServerTest, MalformedStreamGetsTypedErrorThenClose) {
 TEST(ServerTest, InflightCapSurfacesOverloadWithExactEventsApplied) {
   ServerOptions server_options;
   server_options.max_inflight_scores = 1;
-  ServerHarness harness({}, server_options);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed, {}, server_options);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 
@@ -212,7 +214,7 @@ TEST(ServerTest, InflightCapSurfacesOverloadWithExactEventsApplied) {
 }
 
 TEST(ServerTest, GracefulShutdownDeliversEveryPendingResult) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
 
@@ -279,7 +281,7 @@ TEST(ServerTest, ConnectToDeadPortFailsAfterRetries) {
 }
 
 TEST(ServerTest, ClientReconnectsOnceOnBrokenPipe) {
-  ServerHarness harness;
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
   Client client(harness.client_options());
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(client.Ping().ok());
@@ -301,44 +303,15 @@ TEST(ServerTest, ClientReconnectsOnceOnBrokenPipe) {
 }
 
 TEST(ServerTest, ServesManyConnectionsConcurrently) {
-  ServerHarness harness;
-  graph::GraphDataset dataset = TinyDataset(/*count=*/6);
+  ServerHarness harness(serve::TinyServeConfig(), kSeed);
+  const workload::Stream stream = MixStream(/*seed=*/11, /*sessions=*/6);
 
-  constexpr int kClients = 3;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      Client client(harness.client_options());
-      if (!client.Connect().ok()) {
-        ++failures;
-        return;
-      }
-      for (size_t i = static_cast<size_t>(c); i < dataset.size();
-           i += kClients) {
-        const uint64_t id = i + 1;
-        const graph::TemporalGraph& g = dataset[i].graph;
-        std::vector<serve::Event> events;
-        events.push_back(BeginEvent(id, g));
-        for (const graph::TemporalEdge& e : g.edges()) {
-          events.push_back(EdgeEvent(id, e.src, e.dst, e.time));
-        }
-        events.push_back(ScoreEvent(id, dataset[i].label));
-        events.push_back(EndEvent(id));
-        if (!client.IngestAll(events).ok() || !client.DrainResults().ok()) {
-          ++failures;
-          return;
-        }
-        for (const serve::ScoreResult& result : client.TakeResults()) {
-          if (!result.status.ok()) ++failures;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  const workload::LoadReport report = workload::DriveWire(
+      harness.client_options(), stream.events, /*connections=*/3);
+  EXPECT_EQ(report.errors, 0u) << report.first_error;
+  EXPECT_EQ(report.scores_ok(), stream.scores);
   EXPECT_EQ(harness.engine().metrics().scores_completed.load(),
-            dataset.size());
+            stream.scores);
 }
 
 }  // namespace

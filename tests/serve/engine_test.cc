@@ -12,8 +12,10 @@
 #include "data/datasets.h"
 #include "nn/checkpoint.h"
 #include "serve/inference_engine.h"
-#include "serve/replay.h"
 #include "serve_test_util.h"
+#include "workload/driver.h"
+#include "workload/generator.h"
+#include "workload/profiles.h"
 
 namespace tpgnn::serve {
 namespace {
@@ -101,7 +103,7 @@ TEST(EngineTest, ScoreForUnknownSessionFailsCleanly) {
 }
 
 TEST(EngineTest, EndWithPendingScoreStillScores) {
-  // The replayer emits Score immediately before End; the pin taken at
+  // The generator emits Score immediately before End; the pin taken at
   // enqueue must keep the session alive through the End until the score
   // completes.
   InferenceEngine engine(TinyServeConfig(), /*seed=*/5, EngineOptions{});
@@ -175,36 +177,33 @@ TEST(EngineTest, SnapshotRoundTripAndConfigValidation) {
 }
 
 TEST(EngineTest, ReplayedStreamScoresEverySession) {
-  // End-to-end: replayer-driven ingest with backpressure handling, as the
-  // demo and benchmark run it.
+  // End-to-end: a generated stream through the load driver, backpressure
+  // included, as the serving benches and the demo run it. Abandonment is
+  // off, so every session ends.
   EngineOptions options;
   options.num_shards = 2;
   options.max_pending_scores = 8;
   options.max_batch = 4;
   InferenceEngine engine(TinyServeConfig(), /*seed=*/5, options);
-  graph::GraphDataset dataset =
-      data::MakeDataset(data::HdfsSpec(), /*count=*/12, /*seed=*/11);
-  ReplayOptions replay_options;
-  replay_options.score_every_edges = 4;
-  EventReplayer replayer(dataset, replay_options);
-
-  std::vector<ScoreResult> results;
-  for (const Event& event : replayer.events()) {
-    Status status = engine.Ingest(event);
-    while (status.code() == StatusCode::kOverloaded) {
-      engine.ProcessPending(&results);
-      status = engine.Ingest(event);
-    }
-    ASSERT_TRUE(status.ok()) << status.ToString();
+  workload::WorkloadOptions mix = workload::PaperMixProfile(/*seed=*/11);
+  mix.num_sessions = 12;
+  for (workload::TenantProfile& tenant : mix.tenants) {
+    tenant.abandon_probability = 0.0;
   }
-  engine.Flush(&results);
-  ASSERT_EQ(results.size(), replayer.num_score_requests());
-  for (const ScoreResult& r : results) {
+  const workload::Stream stream = workload::WorkloadGenerator::Draw(mix);
+
+  const workload::LoadReport report =
+      workload::DriveEngine(engine, stream.events);
+  EXPECT_EQ(report.errors, 0u) << report.first_error;
+  EXPECT_EQ(report.events_applied, stream.events.size());
+  EXPECT_EQ(report.scores_acked, stream.scores);
+  ASSERT_EQ(report.results.size(), stream.scores);
+  for (const ScoreResult& r : report.results) {
     EXPECT_TRUE(r.status.ok()) << r.status.ToString();
   }
   EXPECT_EQ(engine.resident_sessions(), 0u);
-  EXPECT_EQ(engine.metrics().sessions_begun.load(), dataset.size());
-  EXPECT_EQ(engine.metrics().sessions_ended.load(), dataset.size());
+  EXPECT_EQ(engine.metrics().sessions_begun.load(), mix.num_sessions);
+  EXPECT_EQ(engine.metrics().sessions_ended.load(), mix.num_sessions);
 }
 
 }  // namespace

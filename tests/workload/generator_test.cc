@@ -65,6 +65,26 @@ std::string StreamBytes(const WorkloadOptions& options, size_t count) {
   return bytes;
 }
 
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// The benchmark's input, pinned from one version to the next: the FNV-1a
+// hash of the first 100,000 PaperMixProfile events' canonical bytes, for
+// the seeds the engine_paper workload runs. The determinism tests below
+// compare two runs of one build; this one fails when any change to the
+// generator, a profile or Event moves a bit of the stream.
+TEST(WorkloadGeneratorTest, PaperMixStreamMatchesGolden) {
+  EXPECT_EQ(Fnv1a64(StreamBytes(PaperMixProfile(/*seed=*/1), 100000)),
+            0x30584807f16e66e0ULL);
+  EXPECT_EQ(Fnv1a64(StreamBytes(PaperMixProfile(/*seed=*/3), 100000)),
+            0xbf8130e2d777ab45ULL);
+}
+
 TEST(WorkloadGeneratorTest, SameSeedSameStreamAcrossRuns) {
   const WorkloadOptions options = PaperMixProfile(/*seed=*/42);
   const std::string first = StreamBytes(options, 20000);
@@ -191,9 +211,24 @@ TEST(WorkloadGeneratorTest, StreamClockIsMonotoneAndSessionsOrdered) {
   double last_time = 0.0;
   std::map<uint64_t, serve::Event::Kind> last_kind;
   std::map<uint64_t, double> last_edge_time;
+  // Per session: stream position of its Begin and its own events so far. A
+  // session whose Begin..End window is longer than its own events had a
+  // foreign event land inside it: sessions actually interleave.
+  std::map<uint64_t, std::pair<size_t, size_t>> window;
+  size_t position = 0;
+  bool interleaved = false;
   while (gen.Next(&event)) {
     EXPECT_GE(event.time, last_time);
     last_time = event.time;
+    auto& [begin_position, own_events] = window[event.session_id];
+    if (event.kind == serve::Event::Kind::kBegin) {
+      begin_position = position;
+    }
+    ++own_events;
+    if (event.kind == serve::Event::Kind::kEnd) {
+      interleaved = interleaved || position - begin_position + 1 > own_events;
+    }
+    ++position;
     const auto it = last_kind.find(event.session_id);
     if (event.kind == serve::Event::Kind::kBegin) {
       EXPECT_EQ(it, last_kind.end()) << "double Begin";
@@ -207,6 +242,7 @@ TEST(WorkloadGeneratorTest, StreamClockIsMonotoneAndSessionsOrdered) {
     }
     last_kind[event.session_id] = event.kind;
   }
+  EXPECT_TRUE(interleaved);
 }
 
 TEST(WorkloadGeneratorTest, BoundedMemoryUnderUnboundedStream) {
